@@ -170,7 +170,14 @@ def _cmd_verify(args, out):
         ids = [int(x) for x in args.subset.split(",") if x != ""]
     elif args.from_json:
         with open(args.from_json, "r", encoding="utf-8") as fh:
-            ids = json.load(fh)["subset"]
+            found = json.load(fh)
+        ids = found.get("subset") if isinstance(found, dict) else None
+        if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
+            print(
+                f"verify: {args.from_json} has no \"subset\" list of integer ids",
+                file=sys.stderr,
+            )
+            return 2
     else:
         print("verify: need --subset or --from-json", file=sys.stderr)
         return 2
@@ -266,7 +273,7 @@ def _cmd_bench(args, out):
         pset = spec.build()
         started = time.perf_counter()
         coloring = build_coloring(pset, 2)
-        distinct = len({k.value for k in coloring.colors.values() if k.is_volume})
+        distinct = len({raw for _, raw in coloring.raw_items() if raw})
         result = find_subset(pset, FindRequest(a=2, mode="auto", seed=args.seed))
         elapsed = time.perf_counter() - started
         if isinstance(result, FindResult):
@@ -295,10 +302,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, input_arg=True, formats=("json", "csv"), fmt_default="json"):
+    def common(p, input_arg=True):
         if input_arg:
             p.add_argument("input", nargs="?", default="-", help="point-set file or - for stdin")
-        p.add_argument("--format", choices=formats, default=fmt_default)
         p.add_argument("--pretty", action="store_true")
         p.add_argument("--threads", type=int, default=1)
 
@@ -367,7 +373,8 @@ def build_parser():
     b.add_argument("--j", type=int, default=None)
     b.add_argument("--c", type=str, default="1")
     b.add_argument("--base", type=int, default=1)
-    common(b, input_arg=False, formats=("text", "json"), fmt_default="text")
+    b.add_argument("--format", choices=("text", "json"), default="text")
+    common(b, input_arg=False)
 
     be = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
     be.add_argument("--suite", choices=tuple(BENCH_SUITES), default="grids-2d")

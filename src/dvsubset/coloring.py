@@ -1,17 +1,32 @@
 """Volume colorings of the complete a-uniform hypergraph on a point set.
 
-Every a-subset (edge) of the ground set gets a color: the exact squared
-volume of its simplex when that volume is nonzero, or a unique color carrying
-the edge itself when the simplex is degenerate.  Degenerate edges therefore
-never collide with anything, which is what lets the h variant ignore them.
+Every a-subset (edge) of the ground set is colored by the exact squared
+volume of its simplex.  The goodness m of the paper is the largest class of
+equal volumes among the extensions anchor + (v,) of one (a-1)-tuple, the
+*anchor*, so the coloring is read one anchor row at a time: `row(anchor)[v]`
+is the raw integer Gram determinant of the edge anchor + (v,), and 0 when v
+lies in the anchor.
+
+Within one a every edge shares the denominator edge_det_denominator(pset, a),
+so raw integers compare exactly as the volumes do, and 0 marks a degenerate
+simplex.  At a=2 nothing is stored: a row is the squared distances from one
+point to all n, computed on demand.  At a>=3 each edge's determinant is
+computed once, when the coloring is built, and kept as a plain int.
+
+A `ColorKey` is built only where a color is output.  It is the reduced
+squared volume, or for a degenerate simplex a unique color carrying the edge
+itself.  Degenerate edges therefore never collide with anything, which is
+what lets the h variant ignore them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from .geometry import edge_det_denominator, edge_gram_det
@@ -26,8 +41,6 @@ class ColorKey(NamedTuple):
 
     @classmethod
     def from_det(cls, det, den):
-        from math import gcd
-
         g = gcd(det, den)
         return cls(VOLUME, (det // g, den // g))
 
@@ -74,33 +87,109 @@ class GoodnessReport:
 
 
 class Coloring:
-    """Total color map over all a-subsets of a PointSet, keyed by sorted id tuples."""
+    """Raw-integer volume coloring of all a-subsets of a PointSet.
 
-    __slots__ = ("a", "pset", "colors")
+    Edges and anchors are sorted id tuples.  `row(anchor)` is the anchor's
+    extensions as a list indexed by point id; `raw(edge)` is one edge's
+    value and `raw_items(ids)` every edge inside ids, in combinations order.
+    All values share the denominator `den`.  `color_of(edge)` and the lazy,
+    read-only `colors` mapping (edge -> ColorKey, iterated in combinations
+    order) give output colors, for tests and small sets.
+    """
 
-    def __init__(self, a, pset, colors):
+    __slots__ = ("a", "pset", "den", "_cols", "_dets")
+
+    def __init__(self, a, pset, dets=None):
         self.a = a
         self.pset = pset
-        self.colors = colors
+        self.den = edge_det_denominator(pset, a)
+        self._cols = list(zip(*pset.scaled)) if a == 2 else None
+        self._dets = dets
 
     def __len__(self):
-        return len(self.colors)
+        return comb(len(self.pset), self.a)
+
+    def row(self, anchor):
+        """raw(anchor + (v,)) for v = 0..n-1, and 0 at the anchor's own ids."""
+        if self._dets is None:
+            center = self.pset.scaled[anchor[0]]
+            out = [0] * len(self.pset)
+            for c0, col in zip(center, self._cols):
+                out = [s + (c - c0) * (c - c0) for s, c in zip(out, col)]
+            return out
+        dets = self._dets
+        n = len(self.pset)
+        out = []
+        lo = 0
+        # v runs through the gaps between anchor ids; k anchor ids precede v
+        for k, hi in enumerate(anchor + (n,)):
+            head, tail = anchor[:k], anchor[k:]
+            out += [dets[head + (v,) + tail] for v in range(lo, hi)]
+            if hi < n:
+                out.append(0)
+            lo = hi + 1
+        return out
+
+    def raw(self, edge):
+        """Gram determinant of one sorted edge; the squared volume is raw / den."""
+        if self._dets is None:
+            vecs = self.pset.scaled
+            return sum((x - y) * (x - y) for x, y in zip(vecs[edge[0]], vecs[edge[1]]))
+        return self._dets[edge]
+
+    def raw_items(self, ids=None):
+        """(edge, raw) for every edge inside ids (default all), in combinations order."""
+        ids = range(len(self.pset)) if ids is None else ids
+        for edge in combinations(ids, self.a):
+            yield edge, self.raw(edge)
+
+    def volume_key(self, raw):
+        """Output color of a nonzero raw value."""
+        return ColorKey.from_det(raw, self.den)
 
     def color_of(self, edge):
         key = tuple(sorted(edge))
         if len(set(key)) != self.a:
             raise ValueError(f"edge must be {self.a} distinct ids")
-        return self.colors[key]
+        if not (0 <= key[0] and key[-1] < len(self.pset)):
+            raise ValueError("edge ids out of range")
+        raw = self.raw(key)
+        return self.volume_key(raw) if raw else ColorKey.for_zero_edge(key)
 
-    def edges(self):
-        return self.colors.keys()
+    @property
+    def colors(self):
+        return _ColorView(self)
+
+
+class _ColorView(Mapping):
+    """Read-only edge -> ColorKey view over a Coloring, keyed by sorted id tuples."""
+
+    __slots__ = ("_coloring",)
+
+    def __init__(self, coloring):
+        self._coloring = coloring
+
+    def __getitem__(self, edge):
+        try:
+            if tuple(sorted(edge)) == edge:
+                return self._coloring.color_of(edge)
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(edge)
+
+    def __iter__(self):
+        return combinations(range(len(self._coloring.pset)), self._coloring.a)
+
+    def __len__(self):
+        return len(self._coloring)
 
 
 def build_coloring(pset, a):
     """Color every a-subset of the point set by exact squared simplex volume.
 
-    The result is independent of point insertion order in the sense that ids
-    just follow the input: relabeling points relabels edges consistently.
+    Ids follow the input order, so relabeling points relabels edges
+    consistently.  At a>=3 this computes all C(n, a) Gram determinants once;
+    at a=2 rows are computed when read.
     """
     n = len(pset)
     d = pset.dimension
@@ -108,31 +197,31 @@ def build_coloring(pset, a):
         raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
     if n < a:
         raise ValueError(f"need at least a={a} points, got {n}")
-    den = edge_det_denominator(pset, a)
-    colors = {}
-    if a == 2:
-        # hot path: plain squared distances on the integer copies
-        from math import gcd
+    dets = None
+    if a > 2:
+        dets = {edge: edge_gram_det(pset, edge) for edge in combinations(range(n), a)}
+    return Coloring(a, pset, dets)
 
-        vecs = pset.scaled
-        for i in range(n - 1):
-            vi = vecs[i]
-            for j in range(i + 1, n):
-                vj = vecs[j]
-                s = 0
-                for x, y in zip(vi, vj):
-                    t = x - y
-                    s += t * t
-                g = gcd(s, den)
-                colors[(i, j)] = ColorKey(VOLUME, (s // g, den // g))
-        return Coloring(a, pset, colors)
-    for edge in combinations(range(n), a):
-        det = edge_gram_det(pset, edge)
-        if det == 0:
-            colors[edge] = ColorKey(ZERO, edge)
-        else:
-            colors[edge] = ColorKey.from_det(det, den)
-    return Coloring(a, pset, colors)
+
+def anchor_classes(coloring, anchor):
+    """(row, counts, size) for one anchor: its row, its volume class sizes
+    (raw value -> count, zeros dropped) and the largest size (0 if none)."""
+    row = coloring.row(anchor)
+    counts = Counter(row)
+    del counts[0]  # the anchor's own ids, and degenerate extensions
+    return row, counts, max(counts.values(), default=0)
+
+
+def largest_class(coloring, row, counts, size):
+    """(ColorKey, ascending ids) of the row's class of the given size.
+
+    When several classes have that size the smallest reduced (num, den) wins.
+    """
+    raw = min(
+        (r for r, c in counts.items() if c == size),
+        key=lambda r: coloring.volume_key(r).value,
+    )
+    return coloring.volume_key(raw), [v for v, r in enumerate(row) if r == raw]
 
 
 def color_class(coloring, tuple_ids, key):
@@ -144,60 +233,48 @@ def color_class(coloring, tuple_ids, key):
         raise ValueError(f"tuple must be {a - 1} distinct ids")
     if anchor and not (0 <= anchor[0] and anchor[-1] < n):
         raise ValueError("tuple ids out of range")
-    members = set(anchor)
-    colors = coloring.colors
-    out = []
-    for v in range(n):
-        if v in members:
-            continue
-        edge = tuple(sorted(anchor + (v,)))
-        if colors[edge] == key:
-            out.append(v)
-    return out
+    row = coloring.row(anchor)
+    if key.is_volume:
+        num, den = key.value
+        if coloring.den % den:
+            return []  # no edge of this set has that volume
+        target = num * (coloring.den // den)
+        return [v for v, raw in enumerate(row) if raw == target]
+    # a zero color names its own edge, which must extend this anchor by one id
+    return [
+        v
+        for v, raw in enumerate(row)
+        if raw == 0 and v not in anchor and tuple(sorted(anchor + (v,))) == key.value
+    ]
 
 
 def goodness(coloring, cap=None):
     """Largest volume color class over any (a-1)-tuple, with a witness.
 
-    Zero colors are unique by construction so they never contribute.  When
-    `cap` is given the scan may return early with the first class found whose
-    size exceeds cap; observed_m is then that class's exact size and only
-    means "> cap", not the global maximum.
+    Anchors are read in lexicographic order.  The witness is the smallest
+    anchor holding a largest class and, among that anchor's largest classes,
+    the one with the smallest reduced (num, den).  Zero colors are unique by
+    construction, so they never contribute; a fully degenerate coloring
+    reports m=1 at its first edge.
+
+    With `cap` the scan stops at the first anchor, in lexicographic order,
+    whose largest class exceeds cap.  observed_m is then that class's exact
+    size, which is > cap but need not be the global maximum.
     """
     a = coloring.a
-    counts = {}
-    if a == 2:
-        for edge, key in coloring.colors.items():
-            if key.kind != VOLUME:
-                continue
-            i, j = edge
-            for anchor in ((i,), (j,)):
-                k = (anchor, key)
-                c = counts.get(k, 0) + 1
-                counts[k] = c
-                if cap is not None and c > cap:
-                    ext = color_class(coloring, anchor, key)
-                    return GoodnessReport(len(ext), anchor, key, ext)
-    else:
-        for edge, key in coloring.colors.items():
-            if key.kind != VOLUME:
-                continue
-            for anchor in combinations(edge, a - 1):
-                k = (anchor, key)
-                c = counts.get(k, 0) + 1
-                counts[k] = c
-                if cap is not None and c > cap:
-                    ext = color_class(coloring, anchor, key)
-                    return GoodnessReport(len(ext), anchor, key, ext)
-    if not counts:
+    best = 0
+    for anchor in combinations(range(len(coloring.pset)), a - 1):
+        row, counts, size = anchor_classes(coloring, anchor)
+        if size > best:
+            best, best_anchor, best_row, best_counts = size, anchor, row, counts
+            if cap is not None and size > cap:
+                break
+    if not best:
         # fully degenerate coloring: every class is a singleton behind a zero color
-        edge = next(iter(coloring.colors))
-        key = coloring.colors[edge]
-        return GoodnessReport(1, edge[:-1], key, [edge[-1]])
-    best = max(counts.values())
-    anchor, key = min(k for k, c in counts.items() if c == best)
-    ext = color_class(coloring, anchor, key)
-    return GoodnessReport(best, anchor, key, ext)
+        edge = tuple(range(a))
+        return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]])
+    key, ext = largest_class(coloring, best_row, best_counts, best)
+    return GoodnessReport(best, best_anchor, key, ext)
 
 
 def edge_budget_exceeded(n, a, budget):
@@ -210,9 +287,9 @@ def write_coloring_csv(coloring, fh):
     a = coloring.a
     header = [f"id{i}" for i in range(a)] + ["color_kind", "num", "den"]
     fh.write(",".join(header) + "\n")
-    for edge, key in coloring.colors.items():
-        if key.kind == VOLUME:
-            num, den = key.value
+    for edge, raw in coloring.raw_items():
+        if raw:
+            kind, (num, den) = VOLUME, coloring.volume_key(raw).value
         else:
-            num, den = 0, 1
-        fh.write(",".join(str(x) for x in (*edge, key.kind, num, den)) + "\n")
+            kind, num, den = ZERO, 0, 1
+        fh.write(",".join(str(x) for x in (*edge, kind, num, den)) + "\n")

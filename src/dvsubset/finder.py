@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
-from .coloring import VOLUME, ColorKey, build_coloring, goodness
+from .coloring import ColorKey, build_coloring, goodness
 from .geometry import det_bareiss, edge_det_denominator, edge_gram_det, squared_volume
 from .rainbow import (
     ExtractionFailure,
@@ -167,16 +167,23 @@ def _level_budget(n, a):
     return max(a, int_nth_root(n ** (2 * a - 2), 2 * a - 1) // 4)
 
 
-def _globally_rainbow(coloring, variant):
+def _globally_rainbow(coloring, variant, m_obs):
+    """True when no two edges of the whole set share a nonzero volume.
+
+    m_obs >= 2 already names two edges of one color; otherwise every edge is
+    read once, stopping at the first repeat.
+    """
+    if m_obs > 1:
+        return False
     seen = set()
-    for key in coloring.colors.values():
-        if key.kind != VOLUME:
+    for _, raw in coloring.raw_items():
+        if not raw:
             if variant == "h_prime":
                 return False
             continue
-        if key.value in seen:
+        if raw in seen:
             return False
-        seen.add(key.value)
+        seen.add(raw)
     return True
 
 
@@ -221,7 +228,7 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
 def _auto(pset, req, coloring, m_obs):
     n = len(pset)
     t = _target_t(n, m_obs, req.a, req.t_override)
-    if _globally_rainbow(coloring, req.variant):
+    if _globally_rainbow(coloring, req.variant, m_obs):
         return _result(
             pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}
         )
@@ -262,7 +269,7 @@ def _run(pset, req, depth):
     else:
         budget = req.m if req.m is not None else _level_budget(n, a)
     t = _target_t(n, budget, a, req.t_override)
-    if _globally_rainbow(coloring, req.variant):
+    if _globally_rainbow(coloring, req.variant, m_obs):
         return _result(
             pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}
         )

@@ -7,8 +7,8 @@ volume of the simplex on a points is computed two independent ways:
 * `squared_volume` builds the Gram matrix of difference vectors on
   denominator-cleared integer coordinates and takes a fraction-free
   (Bareiss) determinant;
-* `squared_volume_cm` evaluates the bordered distance-matrix determinant by
-  cofactor expansion over Fractions.
+* `squared_volume_cm` evaluates the bordered distance-matrix determinant,
+  on denominator-cleared integer distances, by cofactor expansion.
 
 The two routes share no determinant code on purpose: each checks the other.
 """
@@ -239,20 +239,22 @@ def squared_volume_cm(points):
     """Same squared volume via the bordered distance-matrix determinant.
 
     Independent of squared_volume: different matrix, different determinant
-    algorithm, plain Fraction arithmetic throughout.
+    algorithm.  Coordinates are cleared by their common denominator s, so the
+    distance matrix holds integers s^2 * |p_i - p_j|^2.  The bordered
+    determinant is homogeneous of degree a-1 in the distances, so one exact
+    division by s^(2(a-1)) at the end undoes the clearing.
     """
     pts, a, _ = _validated(points)
-    dist = [[Fraction(0)] * a for _ in range(a)]
-    for i in range(a):
-        for j in range(i + 1, a):
-            q = sum((x - y) ** 2 for x, y in zip(pts[i], pts[j]))
-            dist[i][j] = dist[j][i] = q
-    border = [[Fraction(0)] + [Fraction(1)] * a]
-    for i in range(a):
-        border.append([Fraction(1)] + dist[i])
+    s = math.lcm(*(c.denominator for p in pts for c in p))
+    ints = [[c.numerator * (s // c.denominator) for c in p] for p in pts]
+    border = [[0] + [1] * a]
+    for p in ints:
+        border.append([1] + [sum((x - y) * (x - y) for x, y in zip(p, q)) for q in ints])
     det = det_laplace(border)
-    value = Fraction((-1) ** a) * det
-    return value / (2 ** (a - 1) * math.factorial(a - 1) ** 2)
+    return Fraction(
+        (-1) ** a * det,
+        2 ** (a - 1) * math.factorial(a - 1) ** 2 * s ** (2 * (a - 1)),
+    )
 
 
 def affine_rank(points):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .coloring import VOLUME, ColorKey, color_class
+from .coloring import ColorKey, anchor_classes, largest_class
 from .rng import SplitMix64, derive_seed
 
 
@@ -109,13 +109,10 @@ def as_upper(k, m, n, s):
 def _conflicts_within(coloring, ids):
     """All unordered pairs of same-colored edges inside ids, with per-s tallies."""
     a = coloring.a
-    colors = coloring.colors
     groups = {}
-    for edge in combinations(ids, a):
-        key = colors[edge]
-        if key.kind != VOLUME:
-            continue
-        groups.setdefault(key, []).append(edge)
+    for edge, raw in coloring.raw_items(ids):
+        if raw:
+            groups.setdefault(raw, []).append(edge)
     pairs = []
     per_s = [0] * a
     for edges in groups.values():
@@ -207,30 +204,14 @@ def find_bad_edge(coloring, ids, m):
     """First (a-1)-tuple inside ids whose volume class over the whole ground
     set exceeds m; None when every class is small.
 
-    Tuples are scanned in lexicographic order; among a tuple's oversized
-    classes the largest wins, ties to the smaller color key.  Cost is
-    O(|ids|^(a-1) * n) dictionary work.
+    Tuples are scanned in lexicographic order, one anchor row of n values
+    each; among a tuple's oversized classes the largest wins, ties to the
+    smaller color key.
     """
-    a = coloring.a
-    n = len(coloring.pset)
-    colors = coloring.colors
-    for anchor in combinations(sorted(ids), a - 1):
-        members = set(anchor)
-        classes = {}
-        for v in range(n):
-            if v in members:
-                continue
-            edge = tuple(sorted(anchor + (v,)))
-            key = colors[edge]
-            if key.kind != VOLUME:
-                continue
-            classes.setdefault(key, []).append(v)
-        offenders = [(len(vs), key) for key, vs in classes.items() if len(vs) > m]
-        if offenders:
-            # largest class wins; ties on size break to the smaller color key
-            size = max(c for c, _ in offenders)
-            key = min(k for c, k in offenders if c == size)
-            extensions = classes[key]
+    for anchor in combinations(sorted(ids), coloring.a - 1):
+        row, counts, size = anchor_classes(coloring, anchor)
+        if size > m:
+            key, extensions = largest_class(coloring, row, counts, size)
             edge = tuple(sorted(anchor + (extensions[0],)))
             return BadEdgeWitness(edge, anchor, key, extensions)
     return None

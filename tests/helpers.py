@@ -63,6 +63,53 @@ def global_same_color_pairs(coloring):
     return per_s
 
 
+def volume_census(coords, a):
+    """Exact squared volume of every a-subset of ids, edge -> Fraction.
+
+    Squared distances at a=2 in any dimension, shoelace areas at a=3 in the
+    plane.
+    """
+    n = len(coords)
+    if a == 2:
+        return {
+            e: sq_dist(coords[e[0]], coords[e[1]])
+            for e in combinations(range(n), 2)
+        }
+    if a == 3:
+        assert len(coords[0]) == 2
+        return {
+            e: tri_area_sq(coords[e[0]], coords[e[1]], coords[e[2]])
+            for e in combinations(range(n), 3)
+        }
+    raise ValueError("oracle handles a in (2, 3) only")
+
+
+def reference_goodness(coords, a, cap=None):
+    """(observed_m, witness_tuple, (num, den), extensions) from the census.
+
+    Every nonzero volume class is collected per (anchor, reduced volume).  The
+    witness is the least (anchor, (num, den)) among the classes of maximum
+    size.  With cap, only the first anchor in lexicographic order holding a
+    class larger than cap competes, when there is one.
+    """
+    classes = {}
+    for edge, vol in volume_census(coords, a).items():
+        if vol == 0:
+            continue
+        for v in edge:
+            anchor = tuple(u for u in edge if u != v)
+            classes.setdefault((anchor, (vol.numerator, vol.denominator)), []).append(v)
+    if cap is not None:
+        for anchor in combinations(range(len(coords)), a - 1):
+            mine = {k: ext for k, ext in classes.items() if k[0] == anchor}
+            if any(len(ext) > cap for ext in mine.values()):
+                classes = mine
+                break
+    best = max(len(ext) for ext in classes.values())
+    anchor, key = min(k for k, ext in classes.items() if len(ext) == best)
+    return best, anchor, key, sorted(classes[anchor, key])
+
+
 def slow_max_distinct(coords, a, variant="h"):
     """Exhaustive maximum distinct-volume subset, fully independent volume code.
 
@@ -70,19 +117,7 @@ def slow_max_distinct(coords, a, variant="h"):
     (shoelace areas).  Returns the lexicographically least maximum subset.
     """
     n = len(coords)
-    if a == 2:
-        value = {
-            e: sq_dist(coords[e[0]], coords[e[1]])
-            for e in combinations(range(n), 2)
-        }
-    elif a == 3:
-        assert len(coords[0]) == 2
-        value = {
-            e: tri_area_sq(coords[e[0]], coords[e[1]], coords[e[2]])
-            for e in combinations(range(n), 3)
-        }
-    else:
-        raise ValueError("oracle handles a in (2, 3) only")
+    value = volume_census(coords, a)
 
     def ok(combo):
         seen = set()

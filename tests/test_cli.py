@@ -143,6 +143,15 @@ def test_find_accepts_threads_flag(square_file):
     assert json.loads(text)["subset"] == [0, 1]
 
 
+def test_format_only_where_honoured(square_file):
+    # find always writes JSON, so it offers no --format to misread
+    code, text = invoke(["find", square_file, "--a", "2", "--format", "csv"])
+    assert code == 2
+    assert text == ""
+    code, text = invoke(["bounds", "g", "--k", "2", "--m", "1", "--t", "3", "--format", "text"])
+    assert (code, text) == (0, "108\n")
+
+
 def test_find_verify_roundtrip(square_file, tmp_path):
     code, text = invoke(["find", square_file, "--a", "2"])
     assert code == 0
@@ -167,6 +176,27 @@ def test_verify_invalid_subset(square_file):
     assert payload["valid"] is False
     assert payload["zero_edges"] == 0
     assert len(payload["duplicate_groups"]) == 2
+
+
+def test_verify_from_json_without_subset_exits_2(square_file, tmp_path, capsys):
+    code, text = invoke(
+        ["find", square_file, "--a", "2", "--t", "3", "--max-retries", "4"]
+    )
+    assert code == 1
+    capsys.readouterr()
+    failed = tmp_path / "failed.json"
+    failed.write_text(text)
+    listed = tmp_path / "listed.json"
+    listed.write_text("[0, 1]")
+    for path in (failed, listed):
+        code, text = invoke(
+            ["verify", square_file, "--a", "2", "--from-json", str(path)]
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_verify_needs_a_subset_source(square_file):

@@ -12,10 +12,11 @@ from dvsubset.coloring import (
     goodness,
     write_coloring_csv,
 )
+from dvsubset.generators import gen_grid, gen_random
 from dvsubset.geometry import PointSet
 from dvsubset.rng import SplitMix64
 
-from helpers import frac_coords, pair_distance_census
+from helpers import frac_coords, pair_distance_census, reference_goodness
 
 F = Fraction
 
@@ -225,6 +226,59 @@ def test_goodness_cap_early_exit_reports_exact_size():
     assert rep.witness_extensions == [1, 2]
     # a cap above the maximum changes nothing
     assert goodness(coloring_of(SQUARE, 2), cap=10).observed_m == 2
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_goodness_matches_census_reference(a):
+    # small coordinates force many ties, so the tie-break is exercised
+    for seed in range(6):
+        pset = gen_random(2, 14, 9, seed=seed)
+        coords = [p.coords for p in pset]
+        rep = goodness(build_coloring(pset, a))
+        got = (
+            rep.observed_m,
+            rep.witness_tuple,
+            rep.witness_color.value,
+            rep.witness_extensions,
+        )
+        assert got == reference_goodness(coords, a), (a, seed)
+
+
+def test_goodness_cap_stops_at_first_anchor_over_cap():
+    # anchor 3 (the origin) sees {0, 1, 2} at distance 1 and anchor 2 sees
+    # {4, 5, 6} at distance 5: anchor 2 comes first, though an edge-order scan
+    # completes the class of anchor 3 earlier
+    rows = [(1, 0), (0, 1), (-1, 0), (0, 0), (-1, 5), (-1, -5), (4, 0)]
+    rep = goodness(coloring_of(rows, 2), cap=2)
+    assert (rep.observed_m, rep.witness_tuple) == (3, (2,))
+    assert rep.witness_extensions == [4, 5, 6]
+    assert rep.witness_color == ColorKey.from_volume(25)
+    # capped m is exact for its anchor but need not be the global maximum
+    grid = gen_grid(2, 4)
+    coords = [p.coords for p in grid]
+    col = build_coloring(grid, 2)
+    assert goodness(col).observed_m == 4
+    for cap in range(6):
+        rep = goodness(col, cap=cap)
+        got = (rep.observed_m, rep.witness_tuple, rep.witness_color.value, rep.witness_extensions)
+        assert got == reference_goodness(coords, 2, cap=cap), cap
+    assert goodness(col, cap=2).observed_m == 3
+
+
+def test_rows_match_edge_values():
+    rows = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (3, 1)]
+    for a in (2, 3):
+        col = coloring_of(rows, a)
+        n = len(rows)
+        from itertools import combinations
+
+        for anchor in combinations(range(n), a - 1):
+            expect = [
+                0 if v in anchor else col.raw(tuple(sorted(anchor + (v,))))
+                for v in range(n)
+            ]
+            assert col.row(anchor) == expect
+        assert list(col.colors) == list(combinations(range(n), a))
 
 
 def test_goodness_all_degenerate_fallback():

@@ -1,0 +1,48 @@
+"""Byte-for-byte regression oracle for CLI stdout.
+
+Each case runs one CLI verb on a fixed point-set file under tests/golden/ and
+compares stdout with the recorded `<case>.out` next to it.  The recordings
+were taken from the dict-based coloring that predates the per-anchor rows, so
+any refactor of coloring, goodness or search must reproduce them exactly.
+`goodness` runs without `--cap`: a capped scan may stop at a different class
+by design.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from dvsubset.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# input files: random.txt (gen random --d 2 --n 24 --coord-bound 30 --seed 7),
+# grid4.txt (gen grid --d 2 --side 4),
+# cocircular.txt (gen cocircular --n-circle 10 --n-noise 8 --seed 3)
+CASES = {
+    f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
+    for name in ("random", "grid4", "cocircular")
+    for verb in ("color", "goodness", "find")
+    for a in (2, 3)
+}
+CASES["cocircular.find-locus.a2"] = [
+    "find", "cocircular.txt", "--a", "2", "--mode", "locus", "--m", "3", "--t", "6", "--seed", "4",
+]
+CASES["random.find-fixed.a2"] = [
+    "find", "random.txt", "--a", "2", "--mode", "fixed", "--m", "2", "--t", "4", "--seed", "1",
+]
+
+
+def run_case(argv):
+    argv = [str(GOLDEN / arg) if arg.endswith(".txt") else arg for arg in argv]
+    out = io.StringIO()
+    code = run(argv, out)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_stdout_matches_recording(case):
+    code, text = run_case(CASES[case])
+    assert code == 0, case
+    assert text == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
