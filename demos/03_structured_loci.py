@@ -17,7 +17,7 @@ from dvsubset import (
     GeneralPositionError,
     PointSet,
     build_coloring,
-    extract_rainbow_fast,
+    extract_rainbow,
     find_subset,
     gen_cocircular_plus_noise,
     verify_subset,
@@ -27,7 +27,7 @@ print("-- sphere locus --")
 pset = gen_cocircular_plus_noise(30, 100, seed=11)
 print(f"instance: origin + 30 points on its unit circle + 100 noise (n={len(pset)})")
 
-witness = extract_rainbow_fast(build_coloring(pset, 2), 65, m=5, seed=3)
+witness = extract_rainbow(build_coloring(pset, 2), 65, m=5, seed=3, watch=True)
 assert isinstance(witness, BadEdgeWitness)
 print(f"bad tuple: point {witness.tuple_ids[0]} sees {len(witness.extensions)} "
       f"others at squared distance {witness.color.volume()} (budget was 5)")

@@ -47,7 +47,6 @@ from .generators import (
 from .geometry import (
     Point,
     PointSet,
-    Rational,
     affine_rank,
     format_pointset,
     load_pointset,
@@ -64,7 +63,6 @@ from .rainbow import (
     as_upper,
     expected_conflict_bound,
     extract_rainbow,
-    extract_rainbow_fast,
     find_bad_edge,
     sample_conflicts,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "Point",
     "PointSet",
     "RainbowResult",
-    "Rational",
     "SplitMix64",
     "VerifyReport",
     "affine_rank",
@@ -98,7 +95,6 @@ __all__ = [
     "color_class",
     "expected_conflict_bound",
     "extract_rainbow",
-    "extract_rainbow_fast",
     "find_bad_edge",
     "find_subset",
     "format_pointset",

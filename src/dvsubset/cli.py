@@ -6,9 +6,8 @@ results are JSON on stdout (CSV where tabular).  Exit codes: 0 success,
 1 a search/verification reported failure, 2 usage errors.
 
 Output on stdout is byte-deterministic for fixed flags and seed; wall-clock
-timings go to stderr only.  --threads is accepted for interface stability
-but the current implementation is single-process (one worker never exceeds
-any cap).
+timings go to stderr only.  `color`, and `goodness` at a >= 3, warn on stderr
+when C(n, a) exceeds --budget-edges, and still run.
 """
 
 from __future__ import annotations
@@ -75,40 +74,29 @@ def _warn_budget(n, a, budget):
 # ---------------------------------------------------------------------------
 # verb handlers
 
-_GEN_KINDS = {
-    "grid": "grid",
-    "random": "random",
-    "parallel-lines": "parallel_lines",
-    "sphere2d": "sphere2d",
-    "collinear": "collinear",
-    "cocircular": "cocircular_plus_noise",
-}
-
-
 def _cmd_gen(args, out):
     if args.kind == "grid":
-        params = {"d": args.d, "side": args.side}
+        kind, params = "grid", {"d": args.d, "side": args.side}
     elif args.kind == "random":
-        params = {
+        kind, params = "random", {
             "d": args.d,
             "n": args.n,
             "coord_bound": args.coord_bound,
             "seed": args.seed,
         }
     elif args.kind == "parallel-lines":
-        params = {"d": args.d, "n": args.n}
+        kind, params = "parallel_lines", {"d": args.d, "n": args.n}
     elif args.kind == "sphere2d":
-        params = {"n": args.n}
+        kind, params = "sphere2d", {"n": args.n}
     elif args.kind == "collinear":
-        params = {"n_line": args.n, "n_noise": args.noise, "seed": args.seed}
+        kind, params = "collinear", {"n_line": args.n, "n_noise": args.noise, "seed": args.seed}
     else:
-        params = {
+        kind, params = "cocircular_plus_noise", {
             "n_circle": args.n_circle,
             "n_noise": args.n_noise,
             "seed": args.seed,
         }
-    spec = GenSpec(_GEN_KINDS[args.kind], params)
-    out.write(format_pointset(spec.build()))
+    out.write(format_pointset(GenSpec(kind, params).build()))
     return 0
 
 
@@ -122,7 +110,8 @@ def _cmd_color(args, out):
 
 def _cmd_goodness(args, out):
     pset = _read_pointset(args.input)
-    _warn_budget(len(pset), args.a, args.budget_edges)
+    if args.a > 2:  # at a=2 rows are computed on demand and no edge is stored
+        _warn_budget(len(pset), args.a, args.budget_edges)
     coloring = build_coloring(pset, args.a)
     report = goodness(coloring, cap=args.cap)
     payload = report.to_json()
@@ -306,7 +295,6 @@ def build_parser():
         if input_arg:
             p.add_argument("input", nargs="?", default="-", help="point-set file or - for stdin")
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
 
     g = sub.add_parser("gen", help="emit a generated point set")
     g.add_argument(

@@ -277,11 +277,6 @@ def goodness(coloring, cap=None):
     return GoodnessReport(best, best_anchor, key, ext)
 
 
-def edge_budget_exceeded(n, a, budget):
-    """True when C(n, a) tops the edge budget (the CLI warns before building)."""
-    return comb(n, a) > budget
-
-
 def write_coloring_csv(coloring, fh):
     """One row per edge: id0..id{a-1}, color_kind, num, den (zero rows use 0/1)."""
     a = coloring.a

@@ -9,7 +9,7 @@ Modes:
 
 * auto: measure the coloring's actual goodness m, aim for the largest t with
   4*m*t^(2a-1) <= n, and run plain rainbow extraction.
-* fixed_m: trust a caller-supplied budget m and run the fast extraction that
+* fixed_m: trust a caller-supplied budget m and run the extraction that
   watches for bad edges.
 * locus_recursion: like fixed_m but with a per-level default budget; a bad
   edge hands back a structured locus to recurse into. For a=2 the locus is a
@@ -27,12 +27,7 @@ from itertools import combinations
 from .bounds import int_nth_root
 from .coloring import ColorKey, build_coloring, goodness
 from .geometry import det_bareiss, edge_det_denominator, edge_gram_det, squared_volume
-from .rainbow import (
-    ExtractionFailure,
-    RainbowResult,
-    extract_rainbow,
-    extract_rainbow_fast,
-)
+from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
 from .rng import derive_seed
 
 MODES = ("auto", "fixed_m", "locus_recursion")
@@ -167,16 +162,13 @@ def _level_budget(n, a):
     return max(a, int_nth_root(n ** (2 * a - 2), 2 * a - 1) // 4)
 
 
-def _globally_rainbow(coloring, variant, m_obs):
-    """True when no two edges of the whole set share a nonzero volume.
+def _is_rainbow(raws, variant):
+    """True when no nonzero raw volume repeats and, under h_prime, none is zero.
 
-    m_obs >= 2 already names two edges of one color; otherwise every edge is
-    read once, stopping at the first repeat.
+    Reads the values once, stopping at the first repeat.
     """
-    if m_obs > 1:
-        return False
     seen = set()
-    for _, raw in coloring.raw_items():
+    for raw in raws:
         if not raw:
             if variant == "h_prime":
                 return False
@@ -225,29 +217,30 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
     return FindResult(list(subset), certificate, t, m_obs, list(trace), req.seed, stats)
 
 
-def _auto(pset, req, coloring, m_obs):
+def _solve(pset, req, coloring, m_obs, budget=None):
+    """The whole set when it is rainbow already, else one extraction.
+
+    Without a budget (auto, and fixed/locus when no locus applies) t follows
+    the observed goodness.  With one, t follows the budget and the extraction
+    watches for bad edges, so a BadEdgeWitness may come back.
+    """
     n = len(pset)
-    t = _target_t(n, m_obs, req.a, req.t_override)
-    if _globally_rainbow(coloring, req.variant, m_obs):
+    m = m_obs if budget is None else budget
+    t = _target_t(n, m, req.a, req.t_override)
+    # m_obs >= 2 already names two edges of one color
+    if m_obs <= 1 and _is_rainbow((raw for _, raw in coloring.raw_items()), req.variant):
         return _result(
             pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}
         )
-    outcome = extract_rainbow(coloring, t, m_obs, req.seed, req.max_retries)
-    if isinstance(outcome, ExtractionFailure):
-        return outcome
-    return _result(
-        pset,
-        req,
-        outcome.subset,
-        "rainbow",
-        t,
-        m_obs,
-        [],
-        {
-            "retries_used": outcome.retries_used,
-            "conflicts_in_accepted_sample": outcome.conflicts_in_accepted_sample,
-        },
+    outcome = extract_rainbow(
+        coloring, t, m, req.seed, req.max_retries, watch=budget is not None
     )
+    if not isinstance(outcome, RainbowResult):
+        return outcome
+    extra = {} if budget is None else {"m_budget": budget}
+    extra["retries_used"] = outcome.retries_used
+    extra["conflicts_in_accepted_sample"] = outcome.conflicts_in_accepted_sample
+    return _result(pset, req, outcome.subset, "rainbow", t, m_obs, [], extra)
 
 
 def _run(pset, req, depth):
@@ -261,37 +254,17 @@ def _run(pset, req, depth):
     coloring = build_coloring(pset, a)
     m_obs = goodness(coloring).observed_m
     if req.mode == "auto":
-        return _auto(pset, req, coloring, m_obs)
+        return _solve(pset, req, coloring, m_obs)
     if req.mode == "fixed_m":
         if req.m is None:
             raise ValueError("fixed_m mode requires m")
         budget = req.m
     else:
         budget = req.m if req.m is not None else _level_budget(n, a)
+    witness = _solve(pset, req, coloring, m_obs, budget)
+    if not isinstance(witness, BadEdgeWitness):
+        return witness  # a FindResult or an ExtractionFailure
     t = _target_t(n, budget, a, req.t_override)
-    if _globally_rainbow(coloring, req.variant, m_obs):
-        return _result(
-            pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}
-        )
-    outcome = extract_rainbow_fast(coloring, t, budget, req.seed, req.max_retries)
-    if isinstance(outcome, ExtractionFailure):
-        return outcome
-    if isinstance(outcome, RainbowResult):
-        return _result(
-            pset,
-            req,
-            outcome.subset,
-            "rainbow",
-            t,
-            m_obs,
-            [],
-            {
-                "m_budget": budget,
-                "retries_used": outcome.retries_used,
-                "conflicts_in_accepted_sample": outcome.conflicts_in_accepted_sample,
-            },
-        )
-    witness = outcome
     if a == 2 and depth > 0:
         # sphere locus: every extension at one exact squared distance from the anchor
         center = pset[witness.tuple_ids[0]]
@@ -339,7 +312,7 @@ def _run(pset, req, depth):
                 [{"locus": "hyperplane", "ids": side}],
                 {"m_budget": budget, "side_size": len(side)},
             )
-    return _auto(pset, req, coloring, m_obs)
+    return _solve(pset, req, coloring, m_obs)
 
 
 def find_subset(pset, req):
@@ -374,20 +347,6 @@ def find_subset(pset, req):
 # ---------------------------------------------------------------------------
 # exhaustive oracle and greedy growth
 
-def _valid_combo(combo, a, dets, variant):
-    seen = set()
-    for edge in combinations(combo, a):
-        det = dets[edge]
-        if det == 0:
-            if variant == "h_prime":
-                return False
-            continue
-        if det in seen:
-            return False
-        seen.add(det)
-    return True
-
-
 def brute_force_max(pset, a, variant="h", max_points=None):
     """Lexicographically least maximum valid subset, by exhaustive search.
 
@@ -412,7 +371,7 @@ def brute_force_max(pset, a, variant="h", max_points=None):
     dets = {e: edge_gram_det(pset, e) for e in combinations(range(n), a)}
     for size in range(n, a - 1, -1):
         for combo in combinations(range(n), size):
-            if _valid_combo(combo, a, dets, variant):
+            if _is_rainbow((dets[e] for e in combinations(combo, a)), variant):
                 return list(combo)
     # only reachable under h_prime when every single a-subset is degenerate
     return list(range(min(n, a - 1)))

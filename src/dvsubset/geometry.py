@@ -4,9 +4,10 @@ All coordinates are `fractions.Fraction` and every quantity derived from them
 is exact; no floating point is used anywhere.  The squared (a-1)-dimensional
 volume of the simplex on a points is computed two independent ways:
 
-* `squared_volume` builds the Gram matrix of difference vectors on
-  denominator-cleared integer coordinates and takes a fraction-free
-  (Bareiss) determinant;
+* `squared_volume` takes the Gram determinant of difference vectors on
+  denominator-cleared integer coordinates (closed forms for a <= 3,
+  fraction-free Bareiss elimination beyond), the kernel that
+  `edge_gram_det` runs on a PointSet's cached integer copy;
 * `squared_volume_cm` evaluates the bordered distance-matrix determinant,
   on denominator-cleared integer distances, by cofactor expansion.
 
@@ -19,8 +20,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-Rational = Fraction
-
 
 class Point(NamedTuple):
     id: int
@@ -32,6 +31,12 @@ def _coords_of(p):
     if isinstance(p, Point):
         return p.coords
     return tuple(Fraction(c) for c in p)
+
+
+def _cleared(rows):
+    """(s, rows * s) for s the lcm of every coordinate denominator: integer rows."""
+    scale = math.lcm(*(c.denominator for r in rows for c in r))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in r) for r in rows]
 
 
 class PointSet:
@@ -78,13 +83,7 @@ class PointSet:
 
     def _ensure_scaled(self):
         if self._scaled is None:
-            dens = [c.denominator for p in self.points for c in p.coords]
-            scale = math.lcm(*dens) if dens else 1
-            self._scale = scale
-            self._scaled = [
-                tuple(c.numerator * (scale // c.denominator) for c in p.coords)
-                for p in self.points
-            ]
+            self._scale, self._scaled = _cleared([p.coords for p in self.points])
 
     @property
     def scale(self):
@@ -173,7 +172,8 @@ def det_laplace(rows):
 # ---------------------------------------------------------------------------
 # squared volumes
 
-def _validated(points, need_distinct=True):
+def _coords_list(points):
+    """The points' coordinate tuples and their common dimension d."""
     pts = [_coords_of(p) for p in points]
     if not pts:
         raise ValueError("empty point list")
@@ -181,24 +181,28 @@ def _validated(points, need_distinct=True):
     for c in pts[1:]:
         if len(c) != d:
             raise ValueError("points of mixed dimension")
+    return pts, d
+
+
+def _validated(points):
+    pts, d = _coords_list(points)
     a = len(pts)
     if not 2 <= a <= d + 1:
         raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
-    if need_distinct and len(set(pts)) != a:
+    if len(set(pts)) != a:
         raise ValueError("points must be pairwise distinct")
     return pts, a, d
 
 
-def edge_gram_det(pset, edge):
-    """Integer Gram determinant for an id tuple on a PointSet's scaled coords.
+def _gram_det(vecs, ids):
+    """Gram determinant of the differences vecs[i] - vecs[ids[-1]], i in ids[:-1].
 
-    The exact squared volume of the simplex on `edge` is this value divided
-    by edge_det_denominator(pset, len(edge)).
+    vecs are integer vectors; closed forms for one and two differences,
+    Bareiss elimination beyond.
     """
-    vecs = pset.scaled
-    last = vecs[edge[-1]]
+    last = vecs[ids[-1]]
     diffs = [
-        tuple(x - y for x, y in zip(vecs[i], last)) for i in edge[:-1]
+        tuple(x - y for x, y in zip(vecs[i], last)) for i in ids[:-1]
     ]
     k = len(diffs)
     if k == 1:
@@ -214,9 +218,24 @@ def edge_gram_det(pset, edge):
     return det_bareiss(gram)
 
 
+def _gram_denominator(a, scale):
+    """(a-1)!^2 * scale^(2(a-1)): turns an a-point Gram determinant on
+    coordinates cleared by scale into the squared volume."""
+    return math.factorial(a - 1) ** 2 * scale ** (2 * (a - 1))
+
+
+def edge_gram_det(pset, edge):
+    """Integer Gram determinant for an id tuple on a PointSet's scaled coords.
+
+    The exact squared volume of the simplex on `edge` is this value divided
+    by edge_det_denominator(pset, len(edge)).
+    """
+    return _gram_det(pset.scaled, edge)
+
+
 def edge_det_denominator(pset, a):
     """Denominator pairing edge_gram_det: (a-1)!^2 * scale^(2(a-1))."""
-    return math.factorial(a - 1) ** 2 * pset.scale ** (2 * (a - 1))
+    return _gram_denominator(a, pset.scale)
 
 
 def squared_volume(points):
@@ -225,14 +244,8 @@ def squared_volume(points):
     Gram-determinant route on denominator-cleared integer coordinates.
     """
     pts, a, _ = _validated(points)
-    dens = [c.denominator for p in pts for c in p]
-    scale = math.lcm(*dens)
-    vecs = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
-    last = vecs[-1]
-    diffs = [tuple(x - y for x, y in zip(v, last)) for v in vecs[:-1]]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
-    det = det_bareiss(gram)
-    return Fraction(det, math.factorial(a - 1) ** 2 * scale ** (2 * (a - 1)))
+    scale, vecs = _cleared(pts)
+    return Fraction(_gram_det(vecs, range(a)), _gram_denominator(a, scale))
 
 
 def squared_volume_cm(points):
@@ -259,13 +272,7 @@ def squared_volume_cm(points):
 
 def affine_rank(points):
     """Rank of the difference vectors p_i - p_0, by exact Gaussian elimination."""
-    pts = [_coords_of(p) for p in points]
-    if not pts:
-        raise ValueError("empty point list")
-    d = len(pts[0])
-    for c in pts[1:]:
-        if len(c) != d:
-            raise ValueError("points of mixed dimension")
+    pts, d = _coords_list(points)
     base = pts[0]
     rows = [[x - b for x, b in zip(c, base)] for c in pts[1:]]
     rank = 0

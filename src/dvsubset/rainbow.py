@@ -6,7 +6,7 @@ pair to leave a rainbow subset of size >= t.  With ground sets of size
 n >= 4*m*t^(2a-1) the expected pair count is at most 4*m*t^(2a)/n <= t, so a
 handful of retries succeeds with high probability.
 
-The fast variant first scans the sample for a "bad" edge: one whose
+With watch=True each sample is first scanned for a "bad" edge: one whose
 (a-1)-tuple sits in more than m same-colored edges over the whole ground set.
 Such a witness hands the caller a large structured set (a sphere or a
 hyperplane locus) to recurse into instead.
@@ -160,7 +160,7 @@ def _delete_conflicts(sample, pairs):
     return sorted(alive)
 
 
-def extract_rainbow(coloring, t, m, seed, max_retries=64):
+def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False):
     """Las-Vegas search for a rainbow subset of size >= t.
 
     Draws samples of size min(2t, n) with deterministic per-attempt seeds,
@@ -168,8 +168,11 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64):
     and deletes one vertex per conflicting pair.  Returns RainbowResult, or
     ExtractionFailure carrying the best sample seen.  t <= a is trivially
     rainbow (no two a-edges fit), so the first t ids are returned outright.
-    The budget m is not used by the acceptance rule; it is the caller's
-    context and is echoed in diagnostics only.
+
+    The budget m is not used by the acceptance rule.  With watch=True each
+    sample is first scanned by find_bad_edge, and the first (a-1)-tuple whose
+    volume class over the full ground set exceeds m is returned as a
+    BadEdgeWitness.
     """
     n = len(coloring.pset)
     a = coloring.a
@@ -187,6 +190,11 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64):
         attempt_seed = derive_seed(seed, attempt)
         seeds_tried.append(attempt_seed)
         ids = SplitMix64(attempt_seed).sample(n, size)
+        if watch:
+            witness = find_bad_edge(coloring, ids, m)
+            if witness is not None:
+                assert len(witness.extensions) > m
+                return witness
         pairs, per_s = _conflicts_within(coloring, ids)
         stats = ConflictStats(ids, pairs, per_s)
         if len(pairs) <= accept:
@@ -215,43 +223,3 @@ def find_bad_edge(coloring, ids, m):
             edge = tuple(sorted(anchor + (extensions[0],)))
             return BadEdgeWitness(edge, anchor, key, extensions)
     return None
-
-
-def extract_rainbow_fast(coloring, t, m, seed, max_retries=64):
-    """extract_rainbow, but each sample is scanned for a bad edge first.
-
-    Returns a BadEdgeWitness as soon as any sample contains an (a-1)-tuple
-    whose volume class over the full ground set exceeds m; otherwise behaves
-    exactly like extract_rainbow on that sample.
-    """
-    n = len(coloring.pset)
-    a = coloring.a
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n < t:
-        raise ValueError(f"need n >= t, got n={n}, t={t}")
-    if t <= a:
-        return RainbowResult(list(range(t)), 0, seed, 0)
-    size = min(2 * t, n)
-    accept = min(t, size - t)
-    best = None
-    seeds_tried = []
-    for attempt in range(max_retries):
-        attempt_seed = derive_seed(seed, attempt)
-        seeds_tried.append(attempt_seed)
-        ids = SplitMix64(attempt_seed).sample(n, size)
-        witness = find_bad_edge(coloring, ids, m)
-        if witness is not None:
-            assert len(witness.extensions) > m
-            return witness
-        pairs, per_s = _conflicts_within(coloring, ids)
-        stats = ConflictStats(ids, pairs, per_s)
-        if len(pairs) <= accept:
-            subset = _delete_conflicts(ids, pairs)
-            leftover, _ = _conflicts_within(coloring, subset)
-            assert not leftover, "deletion left a same-colored edge pair"
-            assert len(subset) >= t
-            return RainbowResult(subset, attempt, seed, len(pairs))
-        if best is None or len(pairs) < len(best.pairs):
-            best = stats
-    return ExtractionFailure(max_retries, best, seeds_tried)

@@ -43,7 +43,6 @@ from dvsubset.rainbow import (
     as_upper,
     expected_conflict_bound,
     extract_rainbow,
-    extract_rainbow_fast,
 )
 from dvsubset.rng import SplitMix64
 
@@ -214,15 +213,15 @@ def test_criterion_06_find_never_beats_exhaustive():
 
 
 def test_criterion_07_cocircular_witness_and_sphere_recursion():
-    """On 30 cocircular points plus 100 noise points the fast extractor
-    returns the circle's center as a bad-tuple witness whose extensions all
-    sit at exact squared distance 1, and the locus mode turns that witness
-    into a verified answer."""
+    """On 30 cocircular points plus 100 noise points the extractor watching
+    for bad edges returns the circle's center as a bad-tuple witness whose
+    extensions all sit at exact squared distance 1, and the locus mode turns
+    that witness into a verified answer."""
     budget_s = 60.0
     start = time.perf_counter()
     pset = gen_cocircular_plus_noise(30, 100, seed=11)
     col = build_coloring(pset, 2)
-    witness = extract_rainbow_fast(col, 65, m=5, seed=3)
+    witness = extract_rainbow(col, 65, m=5, seed=3, watch=True)
     assert isinstance(witness, BadEdgeWitness)
     assert witness.tuple_ids == (0,)
     assert witness.extensions == list(range(1, 31))

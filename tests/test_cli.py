@@ -87,6 +87,17 @@ def test_color_budget_warning(square_file, capsys):
     assert "exceeds budget" in capsys.readouterr().err
 
 
+def test_budget_warning_only_where_edges_are_stored(square_file, capsys):
+    # C(4, 2) = 6: a budget equal to the edge count is not exceeded
+    assert invoke(["color", square_file, "--a", "2", "--budget-edges", "6"])[0] == 0
+    assert capsys.readouterr().err == ""
+    # goodness at a=2 reads rows on demand and stores no edge
+    assert invoke(["goodness", square_file, "--a", "2", "--budget-edges", "1"])[0] == 0
+    assert capsys.readouterr().err == ""
+    assert invoke(["goodness", square_file, "--a", "3", "--budget-edges", "1"])[0] == 0
+    assert "C(4,3) = 4 edges exceeds budget 1" in capsys.readouterr().err
+
+
 def test_goodness_json(square_file):
     code, text = invoke(["goodness", square_file, "--a", "2"])
     assert code == 0
@@ -137,10 +148,10 @@ def test_find_general_position_exit(collinear_file):
     assert payload["witness"] == [0, 1, 2]
 
 
-def test_find_accepts_threads_flag(square_file):
+def test_find_rejects_threads_flag(square_file):
     code, text = invoke(["find", square_file, "--a", "2", "--threads", "4"])
-    assert code == 0
-    assert json.loads(text)["subset"] == [0, 1]
+    assert code == 2
+    assert text == ""
 
 
 def test_format_only_where_honoured(square_file):

@@ -8,7 +8,6 @@ from dvsubset.coloring import (
     ColorKey,
     build_coloring,
     color_class,
-    edge_budget_exceeded,
     goodness,
     write_coloring_csv,
 )
@@ -306,11 +305,6 @@ def test_class_sizes_partition_extensions():
 
 
 # -------------------------------------------------------------------- plumbing
-
-
-def test_edge_budget():
-    assert edge_budget_exceeded(100, 3, 161699)
-    assert not edge_budget_exceeded(100, 3, 161700)
 
 
 def test_csv_dump():

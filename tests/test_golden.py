@@ -1,9 +1,12 @@
 """Byte-for-byte regression oracle for CLI stdout.
 
-Each case runs one CLI verb on a fixed point-set file under tests/golden/ and
-compares stdout with the recorded `<case>.out` next to it.  The recordings
-were taken from the dict-based coloring that predates the per-anchor rows, so
-any refactor of coloring, goodness or search must reproduce them exactly.
+Each case runs one CLI verb, on a fixed point-set file under tests/golden/
+where it reads one, and compares stdout with the recorded `<case>.out` next
+to it.  The color, goodness and plain find recordings were taken from the
+dict-based coloring that predates the per-anchor rows; the gen, fixed-m
+fallback and hyperplane recordings from the code that still had two
+extraction loops.  Any refactor of coloring, goodness or search must
+reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
 """
@@ -32,6 +35,26 @@ CASES["cocircular.find-locus.a2"] = [
 CASES["random.find-fixed.a2"] = [
     "find", "random.txt", "--a", "2", "--mode", "fixed", "--m", "2", "--t", "4", "--seed", "1",
 ]
+# a bad edge fires but depth 0 allows no sphere: plain extraction, no m_budget
+CASES["cocircular.find-fixed-fallback.a2"] = [
+    "find", "cocircular.txt", "--a", "2", "--mode", "fixed", "--m", "3", "--t", "6", "--seed", "4",
+    "--depth", "0",
+]
+# a bad edge on the grid's rows: one side of its hyperplane answers "all_zero"
+CASES["grid4.find-fixed.a3"] = [
+    "find", "grid4.txt", "--a", "3", "--mode", "fixed", "--m", "1", "--t", "4",
+]
+CASES.update({
+    f"gen.{argv[1]}": argv
+    for argv in (
+        ["gen", "grid", "--d", "2", "--side", "3"],
+        ["gen", "random", "--d", "2", "--n", "6", "--coord-bound", "50", "--seed", "1"],
+        ["gen", "parallel-lines", "--d", "2", "--n", "6"],
+        ["gen", "sphere2d", "--n", "5"],
+        ["gen", "collinear", "--n", "4", "--noise", "2", "--seed", "3"],
+        ["gen", "cocircular", "--n-circle", "4", "--n-noise", "2", "--seed", "3"],
+    )
+})
 
 
 def run_case(argv):

@@ -13,7 +13,6 @@ from dvsubset.rainbow import (
     as_upper,
     expected_conflict_bound,
     extract_rainbow,
-    extract_rainbow_fast,
     find_bad_edge,
     sample_conflicts,
 )
@@ -223,13 +222,13 @@ def test_find_bad_edge_json():
     }
 
 
-# ---------------------------------------------------------------- fast variant
+# --------------------------------------------------------- bad-edge watch
 
 
 def test_fast_returns_witness_for_cocircular_center():
     pset = gen_cocircular_plus_noise(8, 4, seed=2)
     col = build_coloring(pset, 2)
-    res = extract_rainbow_fast(col, 5, m=3, seed=0)
+    res = extract_rainbow(col, 5, m=3, seed=0, watch=True)
     assert isinstance(res, BadEdgeWitness)
     assert res.tuple_ids == (0,)
     assert res.color == ColorKey.from_volume(1)
@@ -237,13 +236,13 @@ def test_fast_returns_witness_for_cocircular_center():
 
 
 def test_fast_witness_on_square_with_tight_budget():
-    res = extract_rainbow_fast(square_coloring(), 3, m=1, seed=0)
+    res = extract_rainbow(square_coloring(), 3, m=1, seed=0, watch=True)
     assert isinstance(res, BadEdgeWitness)
     assert len(res.extensions) > 1
 
 
 def test_fast_failure_mirrors_plain_when_no_bad_edge():
-    res = extract_rainbow_fast(square_coloring(), 3, m=2, seed=0, max_retries=4)
+    res = extract_rainbow(square_coloring(), 3, m=2, seed=0, max_retries=4, watch=True)
     assert isinstance(res, ExtractionFailure)
     assert res.best_stats.count == 7
 
@@ -252,13 +251,13 @@ def test_fast_matches_plain_on_clean_instances():
     col = build_coloring(gen_random(2, 150, 10**6, seed=6), 2)
     m = goodness(col).observed_m
     plain = extract_rainbow(col, 5, m=m, seed=2)
-    fast = extract_rainbow_fast(col, 5, m=m, seed=2)
+    fast = extract_rainbow(col, 5, m=m, seed=2, watch=True)
     assert isinstance(plain, RainbowResult)
     assert plain.to_json() == fast.to_json()
 
 
 def test_fast_trivial_when_t_small():
-    res = extract_rainbow_fast(square_coloring(), 1, m=1, seed=0)
+    res = extract_rainbow(square_coloring(), 1, m=1, seed=0, watch=True)
     assert res.subset == [0]
 
 
