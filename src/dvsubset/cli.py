@@ -6,8 +6,8 @@ results are JSON on stdout (CSV where tabular).  Exit codes: 0 success,
 1 a search/verification reported failure, 2 usage errors.
 
 Output on stdout is byte-deterministic for fixed flags and seed; wall-clock
-timings go to stderr only.  `color`, and `goodness` at a >= 3, warn on stderr
-when C(n, a) exceeds --budget-edges, and still run.
+timings go to stderr only.  `color` writes every edge; it warns on stderr
+when C(n, a) exceeds --budget-edges, and still runs.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ def _config_echo(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _warn_budget(n, a, budget):
-    if comb(n, a) > budget:
-        print(
-            f"warning: C({n},{a}) = {comb(n, a)} edges exceeds budget {budget}",
-            file=sys.stderr,
-        )
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
@@ -102,7 +94,12 @@ def _cmd_gen(args, out):
 
 def _cmd_color(args, out):
     pset = _read_pointset(args.input)
-    _warn_budget(len(pset), args.a, args.budget_edges)
+    edges = comb(len(pset), args.a)
+    if edges > args.budget_edges:
+        print(
+            f"warning: C({len(pset)},{args.a}) = {edges} edges exceeds budget {args.budget_edges}",
+            file=sys.stderr,
+        )
     coloring = build_coloring(pset, args.a)
     write_coloring_csv(coloring, out)
     return 0
@@ -110,8 +107,6 @@ def _cmd_color(args, out):
 
 def _cmd_goodness(args, out):
     pset = _read_pointset(args.input)
-    if args.a > 2:  # at a=2 rows are computed on demand and no edge is stored
-        _warn_budget(len(pset), args.a, args.budget_edges)
     coloring = build_coloring(pset, args.a)
     report = goodness(coloring, cap=args.cap)
     payload = report.to_json()
@@ -319,7 +314,6 @@ def build_parser():
     go = sub.add_parser("goodness", help="largest volume class over any (a-1)-tuple")
     go.add_argument("--a", type=int, required=True)
     go.add_argument("--cap", type=int, default=None)
-    go.add_argument("--budget-edges", type=int, default=DEFAULT_EDGE_BUDGET)
     common(go)
 
     f = sub.add_parser("find", help="search for a distinct-volume subset")

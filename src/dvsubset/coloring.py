@@ -9,9 +9,8 @@ lies in the anchor.
 
 Within one a every edge shares the denominator edge_det_denominator(pset, a),
 so raw integers compare exactly as the volumes do, and 0 marks a degenerate
-simplex.  At a=2 nothing is stored: a row is the squared distances from one
-point to all n, computed on demand.  At a>=3 each edge's determinant is
-computed once, when the coloring is built, and kept as a plain int.
+simplex.  Nothing is stored: every row is computed on demand, by one exact
+integer formula for every a, and memory stays O(n) per row read.
 
 A `ColorKey` is built only where a color is output.  It is the reduced
 squared volume, or for a degenerate simplex a unique color carrying the edge
@@ -25,11 +24,11 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd
 from typing import NamedTuple
 
-from .geometry import edge_det_denominator, edge_gram_det
+from .geometry import det_bareiss, edge_det_denominator, edge_gram_det
 
 VOLUME = "volume"
 ZERO = "zero"
@@ -90,52 +89,59 @@ class Coloring:
     """Raw-integer volume coloring of all a-subsets of a PointSet.
 
     Edges and anchors are sorted id tuples.  `row(anchor)` is the anchor's
-    extensions as a list indexed by point id; `raw(edge)` is one edge's
-    value and `raw_items(ids)` every edge inside ids, in combinations order.
-    All values share the denominator `den`.  `color_of(edge)` and the lazy,
-    read-only `colors` mapping (edge -> ColorKey, iterated in combinations
-    order) give output colors, for tests and small sets.
+    extensions as a list indexed by point id, in closed form; `raw(edge)` is
+    one edge's Gram determinant (`edge_gram_det`), an independent route, and
+    `raw_items(ids)` every edge inside ids, in combinations order.  Nothing
+    is stored per edge; all values share the denominator `den`.  The lazy
+    `colors` mapping (edge -> ColorKey, in combinations order) and
+    `color_of(edge)` give output colors, for tests and small sets.
     """
 
-    __slots__ = ("a", "pset", "den", "_cols", "_dets")
+    __slots__ = ("a", "pset", "den", "_cols")
 
-    def __init__(self, a, pset, dets=None):
+    def __init__(self, a, pset):
         self.a = a
         self.pset = pset
         self.den = edge_det_denominator(pset, a)
-        self._cols = list(zip(*pset.scaled)) if a == 2 else None
-        self._dets = dets
+        self._cols = list(zip(*pset.scaled))
 
     def __len__(self):
         return comb(len(self.pset), self.a)
 
     def row(self, anchor):
-        """raw(anchor + (v,)) for v = 0..n-1, and 0 at the anchor's own ids."""
-        if self._dets is None:
-            center = self.pset.scaled[anchor[0]]
-            out = [0] * len(self.pset)
-            for c0, col in zip(center, self._cols):
-                out = [s + (c - c0) * (c - c0) for s, c in zip(out, col)]
-            return out
-        dets = self._dets
-        n = len(self.pset)
-        out = []
-        lo = 0
-        # v runs through the gaps between anchor ids; k anchor ids precede v
-        for k, hi in enumerate(anchor + (n,)):
-            head, tail = anchor[:k], anchor[k:]
-            out += [dets[head + (v,) + tail] for v in range(lo, hi)]
-            if hi < n:
-                out.append(0)
-            lo = hi + 1
+        """raw(anchor + (v,)) for v = 0..n-1, and 0 at the anchor's own ids.
+
+        Cauchy-Binet, with U the anchor's differences from p0 = anchor[0]: the
+        sum over (a-1)-sets S of coordinates of (c_S . (v - p0))^2, c_S the
+        last-row cofactors of [U_S; .].  At a=2, S is one coordinate, c_S = 1.
+        """
+        vecs = self.pset.scaled
+        p0 = vecs[anchor[0]]
+        diffs = [[x - y for x, y in zip(vecs[i], p0)] for i in anchor[1:]]
+        out = [0] * len(vecs)
+        for cset in combinations(range(len(p0)), self.a - 1):
+            terms = []
+            shift = 0  # c_S . p0
+            for pos, j in enumerate(cset):
+                minor = det_bareiss([[u[i] for i in cset if i != j] for u in diffs])
+                if minor:
+                    c = -minor if pos % 2 else minor
+                    terms.append((c, self._cols[j]))
+                    shift += c * p0[j]
+            if len(terms) == 1 and terms[0][0] in (1, -1):  # (v_j - p0_j)^2, as at a=2
+                z = shift * terms[0][0]
+                out = [o + (y := x - z) * y for o, x in zip(out, terms[0][1])]
+            elif terms:  # none when U_S is singular
+                *head, (c, col) = terms
+                acc = repeat(-shift)
+                for c0, col0 in head:
+                    acc = [s + c0 * x for s, x in zip(acc, col0)]
+                out = [o + (y := s + c * x) * y for o, s, x in zip(out, acc, col)]
         return out
 
     def raw(self, edge):
         """Gram determinant of one sorted edge; the squared volume is raw / den."""
-        if self._dets is None:
-            vecs = self.pset.scaled
-            return sum((x - y) * (x - y) for x, y in zip(vecs[edge[0]], vecs[edge[1]]))
-        return self._dets[edge]
+        return edge_gram_det(self.pset, edge)
 
     def raw_items(self, ids=None):
         """(edge, raw) for every edge inside ids (default all), in combinations order."""
@@ -188,8 +194,8 @@ def build_coloring(pset, a):
     """Color every a-subset of the point set by exact squared simplex volume.
 
     Ids follow the input order, so relabeling points relabels edges
-    consistently.  At a>=3 this computes all C(n, a) Gram determinants once;
-    at a=2 rows are computed when read.
+    consistently.  Nothing is computed here: rows and edge values are
+    computed when read.
     """
     n = len(pset)
     d = pset.dimension
@@ -197,10 +203,7 @@ def build_coloring(pset, a):
         raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
     if n < a:
         raise ValueError(f"need at least a={a} points, got {n}")
-    dets = None
-    if a > 2:
-        dets = {edge: edge_gram_det(pset, edge) for edge in combinations(range(n), a)}
-    return Coloring(a, pset, dets)
+    return Coloring(a, pset)
 
 
 def anchor_classes(coloring, anchor):

@@ -202,8 +202,10 @@ def _split_by_hyperplane(pset, anchor, candidates):
     return pos, neg
 
 
-def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
-    report = verify_subset(pset, subset, req.a, req.variant)
+def _result(pset, req, subset, certificate, t, m_obs, trace, extra, report=None):
+    """FindResult for a subset that passes verify_subset (report: its check, if run)."""
+    if report is None:
+        report = verify_subset(pset, subset, req.a, req.variant)
     if not report.valid:
         raise RuntimeError("internal error: search produced an invalid subset")
     stats = {
@@ -228,10 +230,12 @@ def _solve(pset, req, coloring, m_obs, budget=None):
     m = m_obs if budget is None else budget
     t = _target_t(n, m, req.a, req.t_override)
     # m_obs >= 2 already names two edges of one color
-    if m_obs <= 1 and _is_rainbow((raw for _, raw in coloring.raw_items()), req.variant):
-        return _result(
-            pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}
-        )
+    if m_obs <= 1:
+        report = verify_subset(pset, range(n), req.a, req.variant)
+        if report.valid:
+            return _result(
+                pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}, report
+            )
     outcome = extract_rainbow(
         coloring, t, m, req.seed, req.max_retries, watch=budget is not None
     )

@@ -201,14 +201,12 @@ def _gram_det(vecs, ids):
     Bareiss elimination beyond.
     """
     last = vecs[ids[-1]]
+    if len(ids) == 2:
+        return sum((x - y) * (x - y) for x, y in zip(vecs[ids[0]], last))
     diffs = [
         tuple(x - y for x, y in zip(vecs[i], last)) for i in ids[:-1]
     ]
-    k = len(diffs)
-    if k == 1:
-        u = diffs[0]
-        return sum(x * x for x in u)
-    if k == 2:
+    if len(diffs) == 2:
         u, v = diffs
         g00 = sum(x * x for x in u)
         g11 = sum(x * x for x in v)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -265,19 +266,44 @@ def test_goodness_cap_stops_at_first_anchor_over_cap():
 
 
 def test_rows_match_edge_values():
-    rows = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (3, 1)]
-    for a in (2, 3):
-        col = coloring_of(rows, a)
-        n = len(rows)
-        from itertools import combinations
+    # row() is Cauchy-Binet algebra and raw() is the Gram determinant of one
+    # edge: two routes that must agree for every a, including anchors inside
+    # the collinear and coplanar subsets, and on mixed denominators
+    point_sets = [
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (3, 1)],
+        [
+            (0, 0, 0), (2, 0, 0), (4, 0, 0), (1, 2, 0), (0, F(2, 3), 0),
+            (F(1, 2), 0, 1), (1, 1, F(3, 5)), (F(7, 3), F(1, 4), 2),
+        ],
+        [
+            (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+            (F(1, 3), 2, 1, 0), (1, F(1, 2), 2, F(5, 7)), (2, 1, 0, 3), (0, 3, 1, 1),
+        ],
+    ]
+    from itertools import combinations
 
-        for anchor in combinations(range(n), a - 1):
-            expect = [
-                0 if v in anchor else col.raw(tuple(sorted(anchor + (v,))))
-                for v in range(n)
-            ]
-            assert col.row(anchor) == expect
-        assert list(col.colors) == list(combinations(range(n), a))
+    for rows in point_sets:
+        n = len(rows)
+        for a in range(2, len(rows[0]) + 2):
+            col = coloring_of(rows, a)
+            for anchor in combinations(range(n), a - 1):
+                expect = [
+                    0 if v in anchor else col.raw(tuple(sorted(anchor + (v,))))
+                    for v in range(n)
+                ]
+                assert col.row(anchor) == expect, (rows[0], a, anchor)
+            assert list(col.colors) == list(combinations(range(n), a))
+
+
+def test_goodness_memory_stays_per_row():
+    # C(60, 3) = 34220 edges, but goodness holds one 60-value row at a time
+    tracemalloc.start()
+    try:
+        goodness(build_coloring(gen_random(2, 60, 2000, 11), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_goodness_all_degenerate_fallback():

@@ -2,11 +2,12 @@
 
 Each case runs one CLI verb, on a fixed point-set file under tests/golden/
 where it reads one, and compares stdout with the recorded `<case>.out` next
-to it.  The color, goodness and plain find recordings were taken from the
-dict-based coloring that predates the per-anchor rows; the gen, fixed-m
+to it.  The planar color, goodness and plain find recordings were taken from
+the dict-based coloring that predates the per-anchor rows; the gen, fixed-m
 fallback and hyperplane recordings from the code that still had two
-extraction loops.  Any refactor of coloring, goodness or search must
-reproduce them exactly.
+extraction loops; the three-dimensional random3d and grid3d recordings from
+the code that still stored every determinant at a >= 3.  Any refactor of
+coloring, goodness or search must reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
 """
@@ -22,13 +23,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # input files: random.txt (gen random --d 2 --n 24 --coord-bound 30 --seed 7),
 # grid4.txt (gen grid --d 2 --side 4),
-# cocircular.txt (gen cocircular --n-circle 10 --n-noise 8 --seed 3)
+# cocircular.txt (gen cocircular --n-circle 10 --n-noise 8 --seed 3),
+# random3d.txt (gen random --d 3 --n 12 --coord-bound 20 --seed 5),
+# grid3d.txt (gen grid --d 3 --side 3)
 CASES = {
     f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
     for name in ("random", "grid4", "cocircular")
     for verb in ("color", "goodness", "find")
     for a in (2, 3)
 }
+# three-dimensional sets at 2 < a <= d+1: several coordinate subsets per
+# Gram determinant, and degenerate anchors on the grid's lines and planes
+CASES.update({
+    f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
+    for name, verbs in (
+        ("random3d", ("color", "goodness", "find")),
+        ("grid3d", ("goodness", "find")),
+    )
+    for verb in verbs
+    for a in (3, 4)
+})
 CASES["cocircular.find-locus.a2"] = [
     "find", "cocircular.txt", "--a", "2", "--mode", "locus", "--m", "3", "--t", "6", "--seed", "4",
 ]
