@@ -5,9 +5,10 @@ travel as the text format (stdin by default, "-" explicitly, or a path);
 results are JSON on stdout (CSV where tabular).  Exit codes: 0 success,
 1 a search/verification reported failure, 2 usage errors.
 
-Output on stdout is byte-deterministic for fixed flags and seed; wall-clock
-timings go to stderr only.  `color` writes every edge; it warns on stderr
-when C(n, a) exceeds --budget-edges, and still runs.
+Output on stdout is byte-deterministic for fixed flags and seed, with one
+exception: `bench` prints its wall_time_s column on stdout.  Every other
+wall-clock timing goes to stderr.  `color` writes every edge; it warns on
+stderr when C(n, a) exceeds --budget-edges, and still runs.
 """
 
 from __future__ import annotations

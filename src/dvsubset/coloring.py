@@ -28,7 +28,7 @@ from itertools import combinations, repeat
 from math import comb, gcd
 from typing import NamedTuple
 
-from .geometry import det_bareiss, edge_det_denominator, edge_gram_det
+from .geometry import check_a, det_bareiss, edge_det_denominator, edge_gram_det
 
 VOLUME = "volume"
 ZERO = "zero"
@@ -89,12 +89,15 @@ class Coloring:
     """Raw-integer volume coloring of all a-subsets of a PointSet.
 
     Edges and anchors are sorted id tuples.  `row(anchor)` is the anchor's
-    extensions as a list indexed by point id, in closed form; `raw(edge)` is
-    one edge's Gram determinant (`edge_gram_det`), an independent route, and
-    `raw_items(ids)` every edge inside ids, in combinations order.  Nothing
-    is stored per edge; all values share the denominator `den`.  The lazy
-    `colors` mapping (edge -> ColorKey, in combinations order) and
-    `color_of(edge)` give output colors, for tests and small sets.
+    extensions as a list indexed by point id, in closed form, and
+    `row(anchor, ids)` the same over the given ids only.  Every scan over
+    edges reads rows: `raw_items(ids)` is every edge inside ids, in
+    combinations order.  `raw(edge)` is one edge's Gram determinant
+    (`edge_gram_det`), an independent route kept for single-edge lookups and
+    as the reference the rows are tested against.  Nothing is stored per
+    edge; all values share the denominator `den`.  The lazy `colors` mapping
+    (edge -> ColorKey, in combinations order) and `color_of(edge)` give
+    output colors, for tests and small sets.
     """
 
     __slots__ = ("a", "pset", "den", "_cols")
@@ -108,8 +111,9 @@ class Coloring:
     def __len__(self):
         return comb(len(self.pset), self.a)
 
-    def row(self, anchor):
-        """raw(anchor + (v,)) for v = 0..n-1, and 0 at the anchor's own ids.
+    def row(self, anchor, ids=None):
+        """raw(anchor + (v,)) for v in ids (default 0..n-1), in the order of
+        ids, and 0 at the anchor's own ids.
 
         Cauchy-Binet, with U the anchor's differences from p0 = anchor[0]: the
         sum over (a-1)-sets S of coordinates of (c_S . (v - p0))^2, c_S the
@@ -118,7 +122,10 @@ class Coloring:
         vecs = self.pset.scaled
         p0 = vecs[anchor[0]]
         diffs = [[x - y for x, y in zip(vecs[i], p0)] for i in anchor[1:]]
-        out = [0] * len(vecs)
+        if ids is None:
+            cols, out = self._cols, [0] * len(vecs)
+        else:
+            cols, out = [[col[v] for v in ids] for col in self._cols], [0] * len(ids)
         for cset in combinations(range(len(p0)), self.a - 1):
             terms = []
             shift = 0  # c_S . p0
@@ -126,7 +133,7 @@ class Coloring:
                 minor = det_bareiss([[u[i] for i in cset if i != j] for u in diffs])
                 if minor:
                     c = -minor if pos % 2 else minor
-                    terms.append((c, self._cols[j]))
+                    terms.append((c, cols[j]))
                     shift += c * p0[j]
             if len(terms) == 1 and terms[0][0] in (1, -1):  # (v_j - p0_j)^2, as at a=2
                 z = shift * terms[0][0]
@@ -144,10 +151,17 @@ class Coloring:
         return edge_gram_det(self.pset, edge)
 
     def raw_items(self, ids=None):
-        """(edge, raw) for every edge inside ids (default all), in combinations order."""
-        ids = range(len(self.pset)) if ids is None else ids
-        for edge in combinations(ids, self.a):
-            yield edge, self.raw(edge)
+        """(edge, raw) for every edge inside ids (default all), in combinations order.
+
+        Combinations order runs the last position fastest, so the edges that
+        share their first a-1 positions come in one run: one row, over the
+        ids after the anchor's last position.
+        """
+        ids = list(range(len(self.pset)) if ids is None else ids)
+        for pos in combinations(range(len(ids) - 1), self.a - 1):
+            anchor = tuple(ids[p] for p in pos)
+            rest = ids[pos[-1] + 1 :]
+            yield from zip([anchor + (v,) for v in rest], self.row(anchor, rest))
 
     def volume_key(self, raw):
         """Output color of a nonzero raw value."""
@@ -198,9 +212,7 @@ def build_coloring(pset, a):
     computed when read.
     """
     n = len(pset)
-    d = pset.dimension
-    if not 2 <= a <= d + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
+    check_a(a, pset.dimension)
     if n < a:
         raise ValueError(f"need at least a={a} points, got {n}")
     return Coloring(a, pset)

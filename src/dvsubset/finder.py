@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
-from .coloring import ColorKey, build_coloring, goodness
-from .geometry import det_bareiss, edge_det_denominator, edge_gram_det, squared_volume
+from .coloring import ColorKey, Coloring, build_coloring, goodness
+from .geometry import check_a, det_bareiss, squared_volume
 from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
 from .rng import derive_seed
 
@@ -107,21 +107,19 @@ def verify_subset(pset, subset, a, variant="h"):
         raise ValueError("subset ids out of range")
     if len(ids) < a:
         raise ValueError(f"subset needs at least a={a} ids")
-    if not 2 <= a <= pset.dimension + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={pset.dimension}")
+    check_a(a, pset.dimension)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    den = edge_det_denominator(pset, a)
+    coloring = Coloring(a, pset)
     groups = {}
     zero_edges = 0
-    for edge in combinations(sorted(ids), a):
-        det = edge_gram_det(pset, edge)
+    for edge, det in coloring.raw_items(sorted(ids)):
         if det == 0:
             zero_edges += 1
         else:
             groups.setdefault(det, []).append(edge)
     duplicates = [
-        (ColorKey.from_det(det, den), edges)
+        (ColorKey.from_det(det, coloring.den), edges)
         for det, edges in sorted(groups.items())
         if len(edges) > 1
     ]
@@ -132,15 +130,11 @@ def verify_subset(pset, subset, a, variant="h"):
 def general_position_check(pset, a):
     """(True, None) iff every a-subset spans affine rank a-1; else a witness edge.
 
-    Exhaustive over C(n, a) subsets, exact integer determinants.
+    Exhaustive over C(n, a) subsets, read from exact integer anchor rows.
     """
-    n = len(pset)
-    if not 2 <= a <= pset.dimension + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={pset.dimension}")
-    if n < a:
-        return True, None
-    for edge in combinations(range(n), a):
-        if edge_gram_det(pset, edge) == 0:
+    check_a(a, pset.dimension)
+    for edge, raw in Coloring(a, pset).raw_items():
+        if raw == 0:
             return False, edge
     return True, None
 
@@ -330,8 +324,7 @@ def find_subset(pset, req):
     a = req.a
     d = pset.dimension
     n = len(pset)
-    if not 2 <= a <= d + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
+    check_a(a, d)
     if n < a:
         raise ValueError(f"need at least a={a} points, got {n}")
     if req.mode not in MODES:
@@ -359,8 +352,7 @@ def brute_force_max(pset, a, variant="h", max_points=None):
     for a=2, 10 for a=3, 9 otherwise) because the scan is exponential.
     """
     n = len(pset)
-    if not 2 <= a <= pset.dimension + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={pset.dimension}")
+    check_a(a, pset.dimension)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     limit = (
@@ -372,7 +364,7 @@ def brute_force_max(pset, a, variant="h", max_points=None):
         raise ValueError(f"exhaustive search capped at {limit} points for a={a}")
     if n < a:
         return list(range(n))
-    dets = {e: edge_gram_det(pset, e) for e in combinations(range(n), a)}
+    dets = dict(Coloring(a, pset).raw_items())
     for size in range(n, a - 1, -1):
         for combo in combinations(range(n), size):
             if _is_rainbow((dets[e] for e in combinations(combo, a)), variant):
@@ -385,7 +377,8 @@ def greedy_augment(pset, subset, a, variant="h"):
     """Grow a valid subset by repeatedly adding the smallest id that keeps it valid.
 
     Seeds smaller than a are allowed: with no a-subsets inside they are
-    trivially valid.
+    trivially valid.  One anchor row is kept per (a-1)-tuple of the chosen
+    set, so a candidate's edges into the set are one read per row.
     """
     n = len(pset)
     chosen = sorted(subset)
@@ -394,40 +387,23 @@ def greedy_augment(pset, subset, a, variant="h"):
         if not report.valid:
             raise ValueError("input subset fails verification")
     else:
+        check_a(a, pset.dimension)
         if len(set(chosen)) != len(chosen):
             raise ValueError("subset ids must be distinct")
         if any(not 0 <= i < n for i in chosen):
             raise ValueError("subset ids out of range")
-    members = set(chosen)
-    seen = set()
-    for edge in combinations(chosen, a):
-        det = edge_gram_det(pset, edge)
-        if det:
-            seen.add(det)
-    while True:
-        added = False
-        for v in range(n):
-            if v in members:
-                continue
-            fresh = set()
-            ok = True
-            for anchor in combinations(chosen, a - 1):
-                det = edge_gram_det(pset, anchor + (v,))
-                if det == 0:
-                    if variant == "h_prime":
-                        ok = False
-                        break
-                    continue
-                if det in seen or det in fresh:
-                    ok = False
-                    break
-                fresh.add(det)
-            if ok:
-                members.add(v)
-                chosen.append(v)
-                chosen.sort()
-                seen |= fresh
-                added = True
-                break
-        if not added:
-            return chosen
+    coloring = Coloring(a, pset)
+    seen = {raw for _, raw in coloring.raw_items(chosen) if raw}
+    rows = [coloring.row(anchor) for anchor in combinations(chosen, a - 1)]
+    # an id rejected once stays rejected, since its repeated or zero volume
+    # stays inside every larger set: one ascending pass adds the same ids as
+    # a rescan from id 0 after every addition
+    for v in range(n):
+        if v in chosen:
+            continue
+        fresh = [row[v] for row in rows]  # v's edges into the chosen set
+        if _is_rainbow(fresh, variant) and seen.isdisjoint(fresh):
+            rows += [coloring.row(anchor + (v,)) for anchor in combinations(chosen, a - 2)]
+            seen.update(filter(None, fresh))
+            chosen.append(v)
+    return sorted(chosen)

@@ -5,9 +5,9 @@ is exact; no floating point is used anywhere.  The squared (a-1)-dimensional
 volume of the simplex on a points is computed two independent ways:
 
 * `squared_volume` takes the Gram determinant of difference vectors on
-  denominator-cleared integer coordinates (closed forms for a <= 3,
-  fraction-free Bareiss elimination beyond), the kernel that
-  `edge_gram_det` runs on a PointSet's cached integer copy;
+  denominator-cleared integer coordinates, by fraction-free Bareiss
+  elimination, the kernel that `edge_gram_det` runs on a PointSet's cached
+  integer copy;
 * `squared_volume_cm` evaluates the bordered distance-matrix determinant,
   on denominator-cleared integer distances, by cofactor expansion.
 
@@ -184,11 +184,16 @@ def _coords_list(points):
     return pts, d
 
 
+def check_a(a, d):
+    """Raise ValueError unless 2 <= a <= d+1: a simplex on a points in Q^d."""
+    if not 2 <= a <= d + 1:
+        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
+
+
 def _validated(points):
     pts, d = _coords_list(points)
     a = len(pts)
-    if not 2 <= a <= d + 1:
-        raise ValueError(f"need 2 <= a <= d+1, got a={a}, d={d}")
+    check_a(a, d)
     if len(set(pts)) != a:
         raise ValueError("points must be pairwise distinct")
     return pts, a, d
@@ -197,21 +202,12 @@ def _validated(points):
 def _gram_det(vecs, ids):
     """Gram determinant of the differences vecs[i] - vecs[ids[-1]], i in ids[:-1].
 
-    vecs are integer vectors; closed forms for one and two differences,
-    Bareiss elimination beyond.
+    vecs are integer vectors; the determinant is by Bareiss elimination.
     """
     last = vecs[ids[-1]]
-    if len(ids) == 2:
-        return sum((x - y) * (x - y) for x, y in zip(vecs[ids[0]], last))
     diffs = [
         tuple(x - y for x, y in zip(vecs[i], last)) for i in ids[:-1]
     ]
-    if len(diffs) == 2:
-        u, v = diffs
-        g00 = sum(x * x for x in u)
-        g11 = sum(x * x for x in v)
-        g01 = sum(x * y for x, y in zip(u, v))
-        return g00 * g11 - g01 * g01
     gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
     return det_bareiss(gram)
 
@@ -256,8 +252,7 @@ def squared_volume_cm(points):
     division by s^(2(a-1)) at the end undoes the clearing.
     """
     pts, a, _ = _validated(points)
-    s = math.lcm(*(c.denominator for p in pts for c in p))
-    ints = [[c.numerator * (s // c.denominator) for c in p] for p in pts]
+    s, ints = _cleared(pts)
     border = [[0] + [1] * a]
     for p in ints:
         border.append([1] + [sum((x - y) * (x - y) for x, y in zip(p, q)) for q in ints])

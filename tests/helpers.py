@@ -137,3 +137,16 @@ def slow_max_distinct(coords, a, variant="h"):
             if ok(combo):
                 return list(combo)
     return list(range(min(n, a - 1)))
+
+
+def first_fit_growth(n, subset, valid):
+    """Reference greedy growth over ids 0..n-1: while some id outside the set
+    keeps valid(sorted ids) true, add the smallest such id, rescanning from 0."""
+    chosen = sorted(subset)
+    while True:
+        for v in range(n):
+            if v not in chosen and valid(sorted(chosen + [v])):
+                chosen = sorted(chosen + [v])
+                break
+        else:
+            return chosen

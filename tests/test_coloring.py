@@ -293,6 +293,9 @@ def test_rows_match_edge_values():
                 ]
                 assert col.row(anchor) == expect, (rows[0], a, anchor)
             assert list(col.colors) == list(combinations(range(n), a))
+            for ids in (range(n), range(1, n), [5, 0, 3, 1, 4]):
+                expect = [(e, col.raw(e)) for e in combinations(ids, a)]
+                assert list(col.raw_items(ids)) == expect, (rows[0], a, ids)
 
 
 def test_goodness_memory_stays_per_row():

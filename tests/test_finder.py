@@ -15,11 +15,11 @@ from dvsubset.finder import (
     greedy_augment,
     verify_subset,
 )
-from dvsubset.generators import gen_cocircular_plus_noise, gen_grid, gen_random
+from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
 from dvsubset.geometry import PointSet, squared_volume
 from dvsubset.rainbow import ExtractionFailure
 
-from helpers import slow_max_distinct
+from helpers import first_fit_growth, slow_max_distinct
 
 F = Fraction
 
@@ -344,3 +344,31 @@ def test_greedy_augment_h_prime_avoids_degenerate_edges():
     grown = greedy_augment(ps, [0, 1], 3, variant="h_prime")
     assert verify_subset(ps, grown, 3, "h_prime").valid
     assert 2 not in grown or 0 not in grown  # never all three collinear ids
+
+
+def test_greedy_augment_matches_first_fit():
+    # random, mixed-denominator, grid and collinear sets; seeds shorter than
+    # a and valid seeds of a and a+1 ids from the top of the id range
+    point_sets = [
+        gen_random(2, 12, 40, seed=3),
+        gen_random(3, 10, 8, seed=4),
+        PointSet(3, [(F(i, 1 + i % 4), F(i * i % 7, 3), F(1, 1 + i)) for i in range(10)]),
+        gen_grid(2, 4),
+        gen_grid(3, 3),
+        gen_collinear(6, 5, seed=2),
+    ]
+    for ps in point_sets:
+        n = len(ps)
+        top = list(range(n - 1, -1, -1))
+        for a in range(2, min(4, ps.dimension + 1) + 1):
+            for variant in ("h", "h_prime"):
+
+                def valid(ids):
+                    return len(ids) < a or verify_subset(ps, ids, a, variant).valid
+
+                seeds = [[], top[: a - 1]]
+                for size in (a, a + 1):
+                    seeds += [next(sorted(c) for c in combinations(top, size) if valid(sorted(c)))]
+                for seed in seeds:
+                    got = greedy_augment(ps, seed, a, variant)
+                    assert got == first_fit_growth(n, seed, valid), (ps[0], a, variant, seed)

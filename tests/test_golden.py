@@ -6,8 +6,9 @@ to it.  The planar color, goodness and plain find recordings were taken from
 the dict-based coloring that predates the per-anchor rows; the gen, fixed-m
 fallback and hyperplane recordings from the code that still had two
 extraction loops; the three-dimensional random3d and grid3d recordings from
-the code that still stored every determinant at a >= 3.  Any refactor of
-coloring, goodness or search must reproduce them exactly.
+the code that still stored every determinant at a >= 3; the verify and oracle
+recordings from the code that still computed one Gram determinant per edge.
+Any refactor of coloring, goodness or search must reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
 """
@@ -58,6 +59,25 @@ CASES["cocircular.find-fixed-fallback.a2"] = [
 CASES["grid4.find-fixed.a3"] = [
     "find", "grid4.txt", "--a", "3", "--mode", "fixed", "--m", "1", "--t", "4",
 ]
+# verify names an invalid subset in each case (exit 1), given unsorted
+# where the edge order matters: repeated volumes at every a, and degenerate
+# edges under hprime
+CASES.update({
+    f"{name}.verify{suffix}.a{a}": ["verify", name + ".txt", "--a", str(a), "--subset", ids, *flags]
+    for name, suffix, a, ids, flags in (
+        ("random", "", 2, "22,0,1,8,14,12", []),
+        ("random", "-hprime", 3, "22,5,12,1", ["--variant", "hprime"]),
+        ("grid4", "", 2, "5,0,1,2", []),
+        ("grid4", "", 3, "5,4,1,0", []),
+        ("grid4", "-hprime", 3, "7,2,1,0", ["--variant", "hprime"]),
+        ("random3d", "", 3, "7,2,4,5", []),
+        ("random3d", "", 4, "10,0,1,2,6,3,4", []),
+        ("random3d", "-hprime", 4, "9,2,4,5,7", ["--variant", "hprime"]),
+    )
+})
+# the exhaustive oracle, at its default cap for a=2 and a raised one for a=3
+CASES["random3d.oracle.a2"] = ["oracle", "random3d.txt", "--a", "2"]
+CASES["random3d.oracle.a3"] = ["oracle", "random3d.txt", "--a", "3", "--max-n", "12"]
 CASES.update({
     f"gen.{argv[1]}": argv
     for argv in (
@@ -81,5 +101,5 @@ def run_case(argv):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_stdout_matches_recording(case):
     code, text = run_case(CASES[case])
-    assert code == 0, case
+    assert code == (1 if CASES[case][0] == "verify" else 0), case
     assert text == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
