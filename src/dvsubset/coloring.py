@@ -4,13 +4,16 @@ Every a-subset (edge) of the ground set is colored by the exact squared
 volume of its simplex.  The goodness m of the paper is the largest class of
 equal volumes among the extensions anchor + (v,) of one (a-1)-tuple, the
 *anchor*, so the coloring is read one anchor row at a time: `row(anchor)[v]`
-is the raw integer Gram determinant of the edge anchor + (v,), and 0 when v
-lies in the anchor.
+is the raw integer value of the edge anchor + (v,), and 0 when v lies in the
+anchor.  At a <= d it is the Gram determinant on coordinates cleared by the
+global lcm.  At a = d+1 the volume is |det| / d! of one d x d matrix, linear
+in each column, so the raw is |det| on coordinates cleared one axis at a
+time: axis j's own lcm L_j scales every edge by the same prod(L_j).
 
-Within one a every edge shares the denominator edge_det_denominator(pset, a),
-so raw integers compare exactly as the volumes do, and 0 marks a degenerate
-simplex.  Nothing is stored: every row is computed on demand, by one exact
-integer formula for every a, and memory stays O(n) per row read.
+All raws of one Coloring share the denominator `den`, so they compare exactly
+as the volumes do, and 0 marks a degenerate simplex.  Nothing is stored:
+every row is computed on demand, by one exact integer formula for every a,
+and memory stays O(n) per row read.
 
 A `ColorKey` is built only where a color is output.  It is the reduced
 squared volume, or for a degenerate simplex a unique color carrying the edge
@@ -25,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, gcd
+from math import comb, factorial, gcd, isqrt, prod
 from typing import NamedTuple
 
 from .geometry import check_a, det_bareiss, edge_det_denominator, edge_gram_det
@@ -92,21 +95,26 @@ class Coloring:
     extensions as a list indexed by point id, in closed form, and
     `row(anchor, ids)` the same over the given ids only.  Every scan over
     edges reads rows: `raw_items(ids)` is every edge inside ids, in
-    combinations order.  `raw(edge)` is one edge's Gram determinant
-    (`edge_gram_det`), an independent route kept for single-edge lookups and
-    as the reference the rows are tested against.  Nothing is stored per
-    edge; all values share the denominator `den`.  The lazy `colors` mapping
-    (edge -> ColorKey, in combinations order) and `color_of(edge)` give
-    output colors, for tests and small sets.
+    combinations order.  `raw(edge)` is one edge's value by elimination, an
+    independent route kept for single-edge lookups and as the reference the
+    rows are tested against.  Nothing is stored per edge; all values share
+    the denominator `den`, and `volume_key(raw)` is a value's color.  The
+    lazy `colors` mapping (edge -> ColorKey, in combinations order) and
+    `color_of(edge)` give output colors, for tests and small sets.
     """
 
-    __slots__ = ("a", "pset", "den", "_cols")
+    __slots__ = ("a", "pset", "den", "_cols", "_one_term")
 
     def __init__(self, a, pset):
         self.a = a
         self.pset = pset
-        self.den = edge_det_denominator(pset, a)
-        self._cols = list(zip(*pset.scaled))
+        self._one_term = a == pset.dimension + 1  # one determinant, per-axis columns
+        if self._one_term:
+            lcms, self._cols = pset.axis_columns
+            self.den = factorial(a - 1) ** 2 * prod(lcms) ** 2
+        else:
+            self._cols = pset.columns
+            self.den = edge_det_denominator(pset, a)
 
     def __len__(self):
         return comb(len(self.pset), self.a)
@@ -118,14 +126,14 @@ class Coloring:
         Cauchy-Binet, with U the anchor's differences from p0 = anchor[0]: the
         sum over (a-1)-sets S of coordinates of (c_S . (v - p0))^2, c_S the
         last-row cofactors of [U_S; .].  At a=2, S is one coordinate, c_S = 1.
+        At a = d+1 S is every coordinate, and the one term is |c_S . (v - p0)|.
         """
-        vecs = self.pset.scaled
-        p0 = vecs[anchor[0]]
-        diffs = [[x - y for x, y in zip(vecs[i], p0)] for i in anchor[1:]]
-        if ids is None:
-            cols, out = self._cols, [0] * len(vecs)
-        else:
-            cols, out = [[col[v] for v in ids] for col in self._cols], [0] * len(ids)
+        cols = self._cols
+        p0 = [col[anchor[0]] for col in cols]
+        diffs = [[col[i] - x for col, x in zip(cols, p0)] for i in anchor[1:]]
+        if ids is not None:
+            cols = [[col[v] for v in ids] for col in cols]
+        out = [0] * len(cols[0])
         for cset in combinations(range(len(p0)), self.a - 1):
             terms = []
             shift = 0  # c_S . p0
@@ -135,20 +143,26 @@ class Coloring:
                     c = -minor if pos % 2 else minor
                     terms.append((c, cols[j]))
                     shift += c * p0[j]
-            if len(terms) == 1 and terms[0][0] in (1, -1):  # (v_j - p0_j)^2, as at a=2
-                z = shift * terms[0][0]
+            if len(terms) == 1 and terms[0][0] in (1, -1) and not self._one_term:
+                z = shift * terms[0][0]  # (v_j - p0_j)^2, as at a=2
                 out = [o + (y := x - z) * y for o, x in zip(out, terms[0][1])]
             elif terms:  # none when U_S is singular
                 *head, (c, col) = terms
                 acc = repeat(-shift)
                 for c0, col0 in head:
                     acc = [s + c0 * x for s, x in zip(acc, col0)]
-                out = [o + (y := s + c * x) * y for o, s, x in zip(out, acc, col)]
+                if self._one_term:  # the one form of a = d+1
+                    out = [abs(s + c * x) for s, x in zip(acc, col)]
+                else:
+                    out = [o + (y := s + c * x) * y for o, s, x in zip(out, acc, col)]
         return out
 
     def raw(self, edge):
-        """Gram determinant of one sorted edge; the squared volume is raw / den."""
-        return edge_gram_det(self.pset, edge)
+        """One sorted edge's raw, by elimination: its Gram determinant, or at
+        a = d+1 the |det| of its differences on the per-axis columns."""
+        if not self._one_term:
+            return edge_gram_det(self.pset, edge)
+        return abs(det_bareiss([[col[i] - col[edge[0]] for col in self._cols] for i in edge[1:]]))
 
     def raw_items(self, ids=None):
         """(edge, raw) for every edge inside ids (default all), in combinations order.
@@ -164,8 +178,9 @@ class Coloring:
             yield from zip([anchor + (v,) for v in rest], self.row(anchor, rest))
 
     def volume_key(self, raw):
-        """Output color of a nonzero raw value."""
-        return ColorKey.from_det(raw, self.den)
+        """Output color of a nonzero raw value: the reduced raw / den, with a
+        one-term raw (a = d+1) squared first."""
+        return ColorKey.from_det(raw * raw if self._one_term else raw, self.den)
 
     def color_of(self, edge):
         key = tuple(sorted(edge))
@@ -254,6 +269,11 @@ def color_class(coloring, tuple_ids, key):
         if coloring.den % den:
             return []  # no edge of this set has that volume
         target = num * (coloring.den // den)
+        if coloring._one_term:
+            root = isqrt(target)
+            if root * root != target:
+                return []  # no determinant has that square
+            target = root
         return [v for v, raw in enumerate(row) if raw == target]
     # a zero color names its own edge, which must extend this anchor by one id
     return [

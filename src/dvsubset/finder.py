@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
-from .coloring import ColorKey, Coloring, build_coloring, goodness
+from .coloring import Coloring, build_coloring, goodness
 from .geometry import check_a, det_bareiss, squared_volume
 from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
 from .rng import derive_seed
@@ -111,18 +111,14 @@ def verify_subset(pset, subset, a, variant="h"):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coloring = Coloring(a, pset)
-    groups = {}
+    first, repeats = {}, {}  # raw -> its first edge; raw -> all its edges, if it repeats
     zero_edges = 0
-    for edge, det in coloring.raw_items(sorted(ids)):
-        if det == 0:
+    for edge, raw in coloring.raw_items(sorted(ids)):
+        if not raw:
             zero_edges += 1
-        else:
-            groups.setdefault(det, []).append(edge)
-    duplicates = [
-        (ColorKey.from_det(det, coloring.den), edges)
-        for det, edges in sorted(groups.items())
-        if len(edges) > 1
-    ]
+        elif (head := first.setdefault(raw, edge)) is not edge:
+            repeats.setdefault(raw, [head]).append(edge)
+    duplicates = [(coloring.volume_key(raw), edges) for raw, edges in sorted(repeats.items())]
     valid = not duplicates and (variant == "h" or zero_edges == 0)
     return VerifyReport(valid, duplicates, zero_edges)
 
@@ -213,12 +209,13 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra, report=None)
     return FindResult(list(subset), certificate, t, m_obs, list(trace), req.seed, stats)
 
 
-def _solve(pset, req, coloring, m_obs, budget=None):
+def _solve(pset, req, coloring, m_obs, budget=None, first=0):
     """The whole set when it is rainbow already, else one extraction.
 
     Without a budget (auto, and fixed/locus when no locus applies) t follows
     the observed goodness.  With one, t follows the budget and the extraction
-    watches for bad edges, so a BadEdgeWitness may come back.
+    watches for bad edges, so a BadEdgeWitness may come back.  Extraction
+    starts at attempt `first`.
     """
     n = len(pset)
     m = m_obs if budget is None else budget
@@ -231,7 +228,7 @@ def _solve(pset, req, coloring, m_obs, budget=None):
                 pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}, report
             )
     outcome = extract_rainbow(
-        coloring, t, m, req.seed, req.max_retries, watch=budget is not None
+        coloring, t, m, req.seed, req.max_retries, watch=budget is not None, first=first
     )
     if not isinstance(outcome, RainbowResult):
         return outcome
@@ -310,7 +307,7 @@ def _run(pset, req, depth):
                 [{"locus": "hyperplane", "ids": side}],
                 {"m_budget": budget, "side_size": len(side)},
             )
-    return _solve(pset, req, coloring, m_obs)
+    return _solve(pset, req, coloring, m_obs, first=witness.attempt + 1)
 
 
 def find_subset(pset, req):

@@ -42,12 +42,12 @@ def _cleared(rows):
 class PointSet:
     """Ordered collection of distinct rational points in one dimension d.
 
-    Ids are 0..n-1 in input order.  A denominator-cleared integer copy of the
-    coordinates (one common multiplier for the whole set) is cached lazily;
-    it is what the coloring and finder modules run their determinants on.
+    Ids are 0..n-1 in input order.  Integer copies of the coordinates are
+    cached lazily for the determinants: `scaled` and `columns` cleared by one
+    multiplier for the whole set, `axis_columns` one axis at a time.
     """
 
-    __slots__ = ("dimension", "points", "_scale", "_scaled")
+    __slots__ = ("dimension", "points", "_scale", "_scaled", "_columns", "_axis_columns")
 
     def __init__(self, dimension, rows):
         if dimension < 1:
@@ -66,8 +66,7 @@ class PointSet:
             seen[coords] = i
             points.append(Point(i, coords))
         self.points = points
-        self._scale = None
-        self._scaled = None
+        self._scale = self._scaled = self._columns = self._axis_columns = None
 
     def __len__(self):
         return len(self.points)
@@ -95,6 +94,22 @@ class PointSet:
         """Integer coordinate vectors: scaled[i] == coords(i) * scale, exactly."""
         self._ensure_scaled()
         return self._scaled
+
+    @property
+    def columns(self):
+        """scaled by coordinate: columns[j][i] == scaled[i][j]."""
+        if self._columns is None:
+            self._columns = list(zip(*self.scaled))
+        return self._columns
+
+    @property
+    def axis_columns(self):
+        """(lcms, columns): axis j cleared by the lcm of its own denominators,
+        columns[j][i] == coords(i)[j] * lcms[j], exactly."""
+        if self._axis_columns is None:
+            cleared = [_cleared([col]) for col in zip(*(p.coords for p in self.points))]
+            self._axis_columns = [s for s, _ in cleared], [col for _, (col,) in cleared]
+        return self._axis_columns
 
     def subset(self, ids):
         """New PointSet on the given ids (re-numbered 0..len(ids)-1, input order)."""

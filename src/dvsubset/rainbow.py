@@ -63,6 +63,7 @@ class BadEdgeWitness:
     tuple_ids: tuple
     color: ColorKey
     extensions: list
+    attempt: int = 0  # the extraction attempt whose sample held the edge
 
     def to_json(self):
         return {
@@ -160,10 +161,11 @@ def _delete_conflicts(sample, pairs):
     return sorted(alive)
 
 
-def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False):
+def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False, first=0):
     """Las-Vegas search for a rainbow subset of size >= t.
 
     Draws samples of size min(2t, n) with deterministic per-attempt seeds,
+    derive_seed(seed, attempt) for max_retries attempts from `first` on,
     accepts the first whose same-color pair count is at most min(t, size-t),
     and deletes one vertex per conflicting pair.  Returns RainbowResult, or
     ExtractionFailure carrying the best sample seen.  t <= a is trivially
@@ -172,7 +174,7 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False):
     The budget m is not used by the acceptance rule.  With watch=True each
     sample is first scanned by find_bad_edge, and the first (a-1)-tuple whose
     volume class over the full ground set exceeds m is returned as a
-    BadEdgeWitness.
+    BadEdgeWitness that names its attempt.
     """
     n = len(coloring.pset)
     a = coloring.a
@@ -186,7 +188,7 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False):
     accept = min(t, size - t)
     best = None
     seeds_tried = []
-    for attempt in range(max_retries):
+    for attempt in range(first, first + max_retries):
         attempt_seed = derive_seed(seed, attempt)
         seeds_tried.append(attempt_seed)
         ids = SplitMix64(attempt_seed).sample(n, size)
@@ -194,6 +196,7 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False):
             witness = find_bad_edge(coloring, ids, m)
             if witness is not None:
                 assert len(witness.extensions) > m
+                witness.attempt = attempt
                 return witness
         pairs, per_s = _conflicts_within(coloring, ids)
         stats = ConflictStats(ids, pairs, per_s)

@@ -2,6 +2,8 @@ import io
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from dvsubset.coloring import (
     write_coloring_csv,
 )
 from dvsubset.generators import gen_grid, gen_random
-from dvsubset.geometry import PointSet
+from dvsubset.geometry import PointSet, load_pointset, squared_volume
 from dvsubset.rng import SplitMix64
 
 from helpers import frac_coords, pair_distance_census, reference_goodness
@@ -267,9 +269,14 @@ def test_goodness_cap_stops_at_first_anchor_over_cap():
 
 def test_rows_match_edge_values():
     # row() is Cauchy-Binet algebra and raw() is the Gram determinant of one
-    # edge: two routes that must agree for every a, including anchors inside
-    # the collinear and coplanar subsets, and on mixed denominators
-    point_sets = [
+    # edge (at a = d+1 one determinant): two routes that must agree for every
+    # a, including anchors inside the collinear and coplanar subsets, and on
+    # mixed denominators.  Both read the same columns, so each nonzero raw is
+    # also checked against squared_volume, which catches a wrong den or a
+    # missing square; the golden axes sets clear each axis by a different lcm
+    golden = Path(__file__).resolve().parent / "golden"
+    point_sets = [[p.coords for p in load_pointset(golden / f)] for f in ("axes.txt", "axes3d.txt")]
+    point_sets += [
         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (3, 1)],
         [
             (0, 0, 0), (2, 0, 0), (4, 0, 0), (1, 2, 0), (0, F(2, 3), 0),
@@ -292,10 +299,21 @@ def test_rows_match_edge_values():
                     for v in range(n)
                 ]
                 assert col.row(anchor) == expect, (rows[0], a, anchor)
+                for v, raw in enumerate(expect):
+                    if raw:
+                        key = col.volume_key(raw)
+                        edge = sorted(anchor + (v,))
+                        assert key == ColorKey.from_volume(squared_volume([rows[i] for i in edge]))
+                        assert v in color_class(col, anchor, key)
             assert list(col.colors) == list(combinations(range(n), a))
             for ids in (range(n), range(1, n), [5, 0, 3, 1, 4]):
                 expect = [(e, col.raw(e)) for e in combinations(ids, a)]
                 assert list(col.raw_items(ids)) == expect, (rows[0], a, ids)
+    # at a = d+1 a row holds |det|, so a scaled target that is not a square
+    # names no edge, even where it equals a raw value in the row
+    col = coloring_of(point_sets[0], 3)
+    raw = next(r for r in col.row((0, 1)) if r and isqrt(r) ** 2 != r)
+    assert color_class(col, (0, 1), ColorKey.from_det(raw, col.den)) == []
 
 
 def test_goodness_memory_stays_per_row():

@@ -1,9 +1,13 @@
+import io
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from dvsubset import rainbow
 from dvsubset.bounds import int_nth_root
+from dvsubset.cli import run
 from dvsubset.coloring import ColorKey
 from dvsubset.finder import (
     FindRequest,
@@ -372,3 +376,21 @@ def test_greedy_augment_matches_first_fit():
                 for seed in seeds:
                     got = greedy_augment(ps, seed, a, variant)
                     assert got == first_fit_growth(n, seed, valid), (ps[0], a, variant, seed)
+
+
+def test_fallback_continues_after_the_witness_sample(monkeypatch):
+    # fixed m=3 on the cocircular set: the first sample holds a bad edge, and
+    # depth 0 allows no sphere, so plain extraction takes over from the next
+    # attempt instead of drawing the witness's sample again
+    attempts = []
+    derive = rainbow.derive_seed
+
+    def counted(seed, index):
+        attempts.append(index)
+        return derive(seed, index)
+
+    monkeypatch.setattr(rainbow, "derive_seed", counted)
+    path = Path(__file__).resolve().parent / "golden" / "cocircular.txt"
+    argv = ["find", str(path), "--a", "2", "--mode", "fixed", "--m", "3", "--t", "6", "--seed", "4"]
+    assert run(argv + ["--depth", "0"], io.StringIO()) == 0
+    assert attempts == [0, 1]

@@ -7,7 +7,9 @@ the dict-based coloring that predates the per-anchor rows; the gen, fixed-m
 fallback and hyperplane recordings from the code that still had two
 extraction loops; the three-dimensional random3d and grid3d recordings from
 the code that still stored every determinant at a >= 3; the verify and oracle
-recordings from the code that still computed one Gram determinant per edge.
+recordings from the code that still computed one Gram determinant per edge;
+the axes and axes3d recordings from the code whose rows at a = d+1 still held
+squared determinants on coordinates cleared by the global lcm.
 Any refactor of coloring, goodness or search must reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
@@ -26,7 +28,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # grid4.txt (gen grid --d 2 --side 4),
 # cocircular.txt (gen cocircular --n-circle 10 --n-noise 8 --seed 3),
 # random3d.txt (gen random --d 3 --n 12 --coord-bound 20 --seed 5),
-# grid3d.txt (gen grid --d 3 --side 3)
+# grid3d.txt (gen grid --d 3 --side 3),
+# axes.txt and axes3d.txt (hand-written; each axis draws its denominators
+# from its own set, so every axis lcm differs from the others and from the
+# global lcm: 6, 35 and 210 in the plane, 4, 3, 35 and 420 in space)
 CASES = {
     f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
     for name in ("random", "grid4", "cocircular")
@@ -44,6 +49,13 @@ CASES.update({
     for verb in verbs
     for a in (3, 4)
 })
+# per-axis denominators at a = d+1, where one determinant gives the volume
+CASES.update({
+    f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
+    for name, a in (("axes", 3), ("axes3d", 4))
+    for verb in ("color", "goodness", "find")
+})
+CASES["axes.find-t5.a3"] = ["find", "axes.txt", "--a", "3", "--t", "5"]
 CASES["cocircular.find-locus.a2"] = [
     "find", "cocircular.txt", "--a", "2", "--mode", "locus", "--m", "3", "--t", "6", "--seed", "4",
 ]
@@ -73,6 +85,10 @@ CASES.update({
         ("random3d", "", 3, "7,2,4,5", []),
         ("random3d", "", 4, "10,0,1,2,6,3,4", []),
         ("random3d", "-hprime", 4, "9,2,4,5,7", ["--variant", "hprime"]),
+        ("axes", "", 3, "3,0,1,2,7", []),
+        ("axes", "-hprime", 3, "4,0,1,5", ["--variant", "hprime"]),
+        ("axes3d", "", 4, "5,0,1,2,4,7", []),
+        ("axes3d", "-hprime", 4, "3,0,1,2,6", ["--variant", "hprime"]),
     )
 })
 # the exhaustive oracle, at its default cap for a=2 and a raised one for a=3
