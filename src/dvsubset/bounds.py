@@ -68,7 +68,10 @@ def h_general_lower(a, d, n, c):
     """
     if a < 2 or d < 1 or n < 1:
         raise ValueError("need a >= 2, d >= 1, n >= 1")
-    c = Fraction(c)
+    try:
+        c = Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"c={c} has a zero denominator") from None
     if c < 0:
         raise ValueError("c must be >= 0")
     if c == 0:

@@ -5,10 +5,13 @@ volume of its simplex.  The goodness m of the paper is the largest class of
 equal volumes among the extensions anchor + (v,) of one (a-1)-tuple, the
 *anchor*, so the coloring is read one anchor row at a time: `row(anchor)[v]`
 is the raw integer value of the edge anchor + (v,), and 0 when v lies in the
-anchor.  At a <= d it is the Gram determinant on coordinates cleared by the
-global lcm.  At a = d+1 the volume is |det| / d! of one d x d matrix, linear
-in each column, so the raw is |det| on coordinates cleared one axis at a
-time: axis j's own lcm L_j scales every edge by the same prod(L_j).
+anchor.  Rows read coordinates cleared one axis at a time, axis j by its own
+lcm L_j.  By Cauchy-Binet the Gram determinant is a sum of squared (a-1) x
+(a-1) determinants, one per coordinate set S, and clearing scales S's
+determinant by prod(L_j, j in S).  An integer weight per S brings every set
+to one common factor M, the lcm of those products, so a raw is M^2 times
+the Gram determinant.  At a = d+1 there is one set, the volume is |det| / d!
+of one d x d matrix, and the raw is that |det| times M = prod(L_j).
 
 All raws of one Coloring share the denominator `den`, so they compare exactly
 as the volumes do, and 0 marks a degenerate simplex.  Nothing is stored:
@@ -28,10 +31,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, factorial, gcd, isqrt, prod
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .geometry import check_a, det_bareiss, edge_det_denominator, edge_gram_det
+from .geometry import check_a, det_bareiss, squared_volume
 
 VOLUME = "volume"
 ZERO = "zero"
@@ -95,26 +98,27 @@ class Coloring:
     extensions as a list indexed by point id, in closed form, and
     `row(anchor, ids)` the same over the given ids only.  Every scan over
     edges reads rows: `raw_items(ids)` is every edge inside ids, in
-    combinations order.  `raw(edge)` is one edge's value by elimination, an
-    independent route kept for single-edge lookups and as the reference the
-    rows are tested against.  Nothing is stored per edge; all values share
-    the denominator `den`, and `volume_key(raw)` is a value's color.  The
-    lazy `colors` mapping (edge -> ColorKey, in combinations order) and
-    `color_of(edge)` give output colors, for tests and small sets.
+    combinations order.  `raw(edge)` is one edge's value from
+    `squared_volume`, an independent route kept for single-edge lookups and
+    as the reference the rows are tested against.  Nothing is stored per
+    edge; all values share the denominator `den`, `volume_key(raw)` is a
+    value's color and `raw_of_volume(q)` maps a squared volume back to its
+    value.  The lazy `colors` mapping (edge -> ColorKey, in combinations
+    order) and `color_of(edge)` give output colors, for tests and small sets.
     """
 
-    __slots__ = ("a", "pset", "den", "_cols", "_one_term")
+    __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term")
 
     def __init__(self, a, pset):
         self.a = a
         self.pset = pset
-        self._one_term = a == pset.dimension + 1  # one determinant, per-axis columns
-        if self._one_term:
-            lcms, self._cols = pset.axis_columns
-            self.den = factorial(a - 1) ** 2 * prod(lcms) ** 2
-        else:
-            self._cols = pset.columns
-            self.den = edge_det_denominator(pset, a)
+        self._one_term = a == pset.dimension + 1  # one determinant: raws hold |det|
+        lcms, self._cols = pset.axis_columns
+        csets = list(combinations(range(pset.dimension), a - 1))
+        factors = [prod(lcms[j] for j in cset) for cset in csets]
+        common = lcm(*factors)
+        self._csets = [(cset, common // f) for cset, f in zip(csets, factors)]
+        self.den = factorial(a - 1) ** 2 * common**2
 
     def __len__(self):
         return comb(len(self.pset), self.a)
@@ -125,8 +129,9 @@ class Coloring:
 
         Cauchy-Binet, with U the anchor's differences from p0 = anchor[0]: the
         sum over (a-1)-sets S of coordinates of (c_S . (v - p0))^2, c_S the
-        last-row cofactors of [U_S; .].  At a=2, S is one coordinate, c_S = 1.
-        At a = d+1 S is every coordinate, and the one term is |c_S . (v - p0)|.
+        last-row cofactors of [U_S; .] times S's weight.  At a=2, S is one
+        coordinate and c_S its weight.  At a = d+1 S is every coordinate, of
+        weight 1, and the one term is |c_S . (v - p0)|.
         """
         cols = self._cols
         p0 = [col[anchor[0]] for col in cols]
@@ -134,17 +139,17 @@ class Coloring:
         if ids is not None:
             cols = [[col[v] for v in ids] for col in cols]
         out = [0] * len(cols[0])
-        for cset in combinations(range(len(p0)), self.a - 1):
+        for cset, weight in self._csets:
             terms = []
             shift = 0  # c_S . p0
             for pos, j in enumerate(cset):
                 minor = det_bareiss([[u[i] for i in cset if i != j] for u in diffs])
                 if minor:
-                    c = -minor if pos % 2 else minor
+                    c = (-minor if pos % 2 else minor) * weight
                     terms.append((c, cols[j]))
                     shift += c * p0[j]
             if len(terms) == 1 and terms[0][0] in (1, -1) and not self._one_term:
-                z = shift * terms[0][0]  # (v_j - p0_j)^2, as at a=2
+                z = shift * terms[0][0]  # (v_j - p0_j)^2, as at a=2 of weight 1
                 out = [o + (y := x - z) * y for o, x in zip(out, terms[0][1])]
             elif terms:  # none when U_S is singular
                 *head, (c, col) = terms
@@ -158,11 +163,12 @@ class Coloring:
         return out
 
     def raw(self, edge):
-        """One sorted edge's raw, by elimination: its Gram determinant, or at
-        a = d+1 the |det| of its differences on the per-axis columns."""
-        if not self._one_term:
-            return edge_gram_det(self.pset, edge)
-        return abs(det_bareiss([[col[i] - col[edge[0]] for col in self._cols] for i in edge[1:]]))
+        """One sorted edge's raw: raw_of_volume of its squared volume, which
+        must name a value."""
+        raw = self.raw_of_volume(squared_volume([self.pset[i] for i in edge]))
+        if raw is None:
+            raise RuntimeError(f"internal error: edge {edge} has no raw value")
+        return raw
 
     def raw_items(self, ids=None):
         """(edge, raw) for every edge inside ids (default all), in combinations order.
@@ -181,6 +187,19 @@ class Coloring:
         """Output color of a nonzero raw value: the reduced raw / den, with a
         one-term raw (a = d+1) squared first."""
         return ColorKey.from_det(raw * raw if self._one_term else raw, self.den)
+
+    def raw_of_volume(self, q):
+        """The raw value of squared volume q, the inverse of volume_key, or
+        None when no edge of this coloring can have that volume: q * den is
+        not an integer or, at a = d+1, not a square."""
+        q = Fraction(q) * self.den
+        if q.denominator != 1:
+            return None
+        raw = q.numerator
+        if self._one_term:
+            root = isqrt(raw)
+            return root if root * root == raw else None
+        return raw
 
     def color_of(self, edge):
         key = tuple(sorted(edge))
@@ -265,15 +284,9 @@ def color_class(coloring, tuple_ids, key):
         raise ValueError("tuple ids out of range")
     row = coloring.row(anchor)
     if key.is_volume:
-        num, den = key.value
-        if coloring.den % den:
+        target = coloring.raw_of_volume(key.volume())
+        if target is None:
             return []  # no edge of this set has that volume
-        target = num * (coloring.den // den)
-        if coloring._one_term:
-            root = isqrt(target)
-            if root * root != target:
-                return []  # no determinant has that square
-            target = root
         return [v for v, raw in enumerate(row) if raw == target]
     # a zero color names its own edge, which must extend this anchor by one id
     return [

@@ -97,17 +97,24 @@ class FindResult:
         }
 
 
-def verify_subset(pset, subset, a, variant="h"):
-    """Exact check of a candidate answer over all of its a-subsets."""
+def _checked_ids(pset, subset, a):
+    """The subset's ids as a list; ValueError unless they are distinct ids of
+    the set and 2 <= a <= d+1."""
     n = len(pset)
     ids = list(subset)
     if len(ids) != len(set(ids)):
         raise ValueError("subset ids must be distinct")
     if any(not 0 <= i < n for i in ids):
         raise ValueError("subset ids out of range")
+    check_a(a, pset.dimension)
+    return ids
+
+
+def verify_subset(pset, subset, a, variant="h"):
+    """Exact check of a candidate answer over all of its a-subsets."""
+    ids = _checked_ids(pset, subset, a)
     if len(ids) < a:
         raise ValueError(f"subset needs at least a={a} ids")
-    check_a(a, pset.dimension)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coloring = Coloring(a, pset)
@@ -173,18 +180,16 @@ def _split_by_hyperplane(pset, anchor, candidates):
     """Partition candidates by orientation against the anchor's hyperplane.
 
     Points exactly on the hyperplane land on neither side.  Signs come from
-    integer determinants on the scaled coordinates, so the split is exact.
+    integer determinants on the per-axis-cleared coordinates, so the split is
+    exact: clearing scales each column by a positive lcm, which keeps every
+    determinant's sign.
     """
-    vecs = pset.scaled
-    s0 = vecs[anchor[0]]
-    base = [
-        [x - y for x, y in zip(vecs[i], s0)] for i in anchor[1:]
-    ]
+    _, cols = pset.axis_columns
+    p0 = [col[anchor[0]] for col in cols]
+    base = [[col[i] - x for col, x in zip(cols, p0)] for i in anchor[1:]]
     pos, neg = [], []
     for v in candidates:
-        rows = [row[:] for row in base]
-        rows.append([x - y for x, y in zip(vecs[v], s0)])
-        sign = det_bareiss(rows)
+        sign = det_bareiss(base + [[col[v] - x for col, x in zip(cols, p0)]])
         if sign > 0:
             pos.append(v)
         elif sign < 0:
@@ -377,25 +382,16 @@ def greedy_augment(pset, subset, a, variant="h"):
     trivially valid.  One anchor row is kept per (a-1)-tuple of the chosen
     set, so a candidate's edges into the set are one read per row.
     """
-    n = len(pset)
-    chosen = sorted(subset)
-    if len(chosen) >= a:
-        report = verify_subset(pset, chosen, a, variant)
-        if not report.valid:
-            raise ValueError("input subset fails verification")
-    else:
-        check_a(a, pset.dimension)
-        if len(set(chosen)) != len(chosen):
-            raise ValueError("subset ids must be distinct")
-        if any(not 0 <= i < n for i in chosen):
-            raise ValueError("subset ids out of range")
+    chosen = sorted(_checked_ids(pset, subset, a))
+    if len(chosen) >= a and not verify_subset(pset, chosen, a, variant).valid:
+        raise ValueError("input subset fails verification")
     coloring = Coloring(a, pset)
     seen = {raw for _, raw in coloring.raw_items(chosen) if raw}
     rows = [coloring.row(anchor) for anchor in combinations(chosen, a - 1)]
     # an id rejected once stays rejected, since its repeated or zero volume
     # stays inside every larger set: one ascending pass adds the same ids as
     # a rescan from id 0 after every addition
-    for v in range(n):
+    for v in range(len(pset)):
         if v in chosen:
             continue
         fresh = [row[v] for row in rows]  # v's edges into the chosen set

@@ -6,8 +6,7 @@ volume of the simplex on a points is computed two independent ways:
 
 * `squared_volume` takes the Gram determinant of difference vectors on
   denominator-cleared integer coordinates, by fraction-free Bareiss
-  elimination, the kernel that `edge_gram_det` runs on a PointSet's cached
-  integer copy;
+  elimination;
 * `squared_volume_cm` evaluates the bordered distance-matrix determinant,
   on denominator-cleared integer distances, by cofactor expansion.
 
@@ -42,12 +41,12 @@ def _cleared(rows):
 class PointSet:
     """Ordered collection of distinct rational points in one dimension d.
 
-    Ids are 0..n-1 in input order.  Integer copies of the coordinates are
-    cached lazily for the determinants: `scaled` and `columns` cleared by one
-    multiplier for the whole set, `axis_columns` one axis at a time.
+    Ids are 0..n-1 in input order.  One integer copy of the coordinates is
+    cached lazily for the determinants, `axis_columns`: each axis cleared by
+    the lcm of its own denominators.
     """
 
-    __slots__ = ("dimension", "points", "_scale", "_scaled", "_columns", "_axis_columns")
+    __slots__ = ("dimension", "points", "_axis_columns")
 
     def __init__(self, dimension, rows):
         if dimension < 1:
@@ -66,7 +65,7 @@ class PointSet:
             seen[coords] = i
             points.append(Point(i, coords))
         self.points = points
-        self._scale = self._scaled = self._columns = self._axis_columns = None
+        self._axis_columns = None
 
     def __len__(self):
         return len(self.points)
@@ -80,27 +79,10 @@ class PointSet:
     def coords(self, i):
         return self.points[i].coords
 
-    def _ensure_scaled(self):
-        if self._scaled is None:
-            self._scale, self._scaled = _cleared([p.coords for p in self.points])
-
     @property
     def scale(self):
-        self._ensure_scaled()
-        return self._scale
-
-    @property
-    def scaled(self):
-        """Integer coordinate vectors: scaled[i] == coords(i) * scale, exactly."""
-        self._ensure_scaled()
-        return self._scaled
-
-    @property
-    def columns(self):
-        """scaled by coordinate: columns[j][i] == scaled[i][j]."""
-        if self._columns is None:
-            self._columns = list(zip(*self.scaled))
-        return self._columns
+        """The lcm of every coordinate denominator."""
+        return math.lcm(*self.axis_columns[0])
 
     @property
     def axis_columns(self):
@@ -214,47 +196,18 @@ def _validated(points):
     return pts, a, d
 
 
-def _gram_det(vecs, ids):
-    """Gram determinant of the differences vecs[i] - vecs[ids[-1]], i in ids[:-1].
-
-    vecs are integer vectors; the determinant is by Bareiss elimination.
-    """
-    last = vecs[ids[-1]]
-    diffs = [
-        tuple(x - y for x, y in zip(vecs[i], last)) for i in ids[:-1]
-    ]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
-    return det_bareiss(gram)
-
-
-def _gram_denominator(a, scale):
-    """(a-1)!^2 * scale^(2(a-1)): turns an a-point Gram determinant on
-    coordinates cleared by scale into the squared volume."""
-    return math.factorial(a - 1) ** 2 * scale ** (2 * (a - 1))
-
-
-def edge_gram_det(pset, edge):
-    """Integer Gram determinant for an id tuple on a PointSet's scaled coords.
-
-    The exact squared volume of the simplex on `edge` is this value divided
-    by edge_det_denominator(pset, len(edge)).
-    """
-    return _gram_det(pset.scaled, edge)
-
-
-def edge_det_denominator(pset, a):
-    """Denominator pairing edge_gram_det: (a-1)!^2 * scale^(2(a-1))."""
-    return _gram_denominator(a, pset.scale)
-
-
 def squared_volume(points):
     """Exact squared (a-1)-dimensional volume of the simplex on a points.
 
-    Gram-determinant route on denominator-cleared integer coordinates.
+    Gram determinant of the differences from the last point, on coordinates
+    cleared by their common denominator s, by Bareiss elimination; the
+    determinant is homogeneous of degree 2(a-1) in s.
     """
     pts, a, _ = _validated(points)
     scale, vecs = _cleared(pts)
-    return Fraction(_gram_det(vecs, range(a)), _gram_denominator(a, scale))
+    diffs = [tuple(x - y for x, y in zip(v, vecs[-1])) for v in vecs[:-1]]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
+    return Fraction(det_bareiss(gram), math.factorial(a - 1) ** 2 * scale ** (2 * (a - 1)))
 
 
 def squared_volume_cm(points):

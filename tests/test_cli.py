@@ -80,20 +80,11 @@ def test_color_reads_stdin(monkeypatch):
     assert len(text.splitlines()) == 7
 
 
-def test_color_budget_warning(square_file, capsys):
-    code, text = invoke(["color", square_file, "--a", "2", "--budget-edges", "1"])
-    assert code == 0
-    assert len(text.splitlines()) == 7  # warning does not censor output
-    assert "exceeds budget" in capsys.readouterr().err
-
-
-def test_budget_warning_only_where_edges_are_stored(square_file, capsys):
-    # C(4, 2) = 6: a budget equal to the edge count is not exceeded
-    assert invoke(["color", square_file, "--a", "2", "--budget-edges", "6"])[0] == 0
-    assert capsys.readouterr().err == ""
-    # goodness reads rows on demand and stores no edge at any a: no budget flag
-    for a in ("2", "3"):
-        assert invoke(["goodness", square_file, "--a", a, "--budget-edges", "1"]) == (2, "")
+def test_budget_warning_only_where_edges_are_stored(square_file):
+    # goodness reads rows on demand and color streams its CSV, so neither
+    # stores an edge at any a: no budget flag
+    for verb, a in (("color", "2"), ("goodness", "2"), ("goodness", "3")):
+        assert invoke([verb, square_file, "--a", a, "--budget-edges", "1"]) == (2, "")
 
 
 def test_goodness_json(square_file):
@@ -265,6 +256,11 @@ def test_bounds_missing_flags():
 def test_bounds_rejects_bad_values():
     code, _ = invoke(["bounds", "g", "--k", "1", "--m", "1", "--t", "3"])
     assert code == 2
+
+
+def test_bounds_zero_denominator_exits_2():
+    argv = ["bounds", "h-general", "--a", "2", "--d", "2", "--n", "10", "--c", "1/0"]
+    assert invoke(argv) == (2, "")
 
 
 # ----------------------------------------------------------------------- bench

@@ -268,12 +268,13 @@ def test_goodness_cap_stops_at_first_anchor_over_cap():
 
 
 def test_rows_match_edge_values():
-    # row() is Cauchy-Binet algebra and raw() is the Gram determinant of one
-    # edge (at a = d+1 one determinant): two routes that must agree for every
-    # a, including anchors inside the collinear and coplanar subsets, and on
-    # mixed denominators.  Both read the same columns, so each nonzero raw is
+    # row() is Cauchy-Binet algebra on per-axis-cleared columns and raw()
+    # maps one edge's squared_volume to its raw value: two routes that must
+    # agree exactly for every a, including anchors inside the collinear and
+    # coplanar subsets, and on mixed denominators.  Each nonzero raw's color is
     # also checked against squared_volume, which catches a wrong den or a
-    # missing square; the golden axes sets clear each axis by a different lcm
+    # missing square; the golden axes sets clear each axis by a different lcm,
+    # so below a = d+1 the coordinate sets of one row carry unequal weights
     golden = Path(__file__).resolve().parent / "golden"
     point_sets = [[p.coords for p in load_pointset(golden / f)] for f in ("axes.txt", "axes3d.txt")]
     point_sets += [
@@ -314,6 +315,7 @@ def test_rows_match_edge_values():
     col = coloring_of(point_sets[0], 3)
     raw = next(r for r in col.row((0, 1)) if r and isqrt(r) ** 2 != r)
     assert color_class(col, (0, 1), ColorKey.from_det(raw, col.den)) == []
+    assert col.raw_of_volume(F(raw, col.den)) is None
 
 
 def test_goodness_memory_stays_per_row():

@@ -13,6 +13,7 @@ from dvsubset.finder import (
     FindRequest,
     FindResult,
     GeneralPositionError,
+    _split_by_hyperplane,
     brute_force_max,
     find_subset,
     general_position_check,
@@ -20,7 +21,7 @@ from dvsubset.finder import (
     verify_subset,
 )
 from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
-from dvsubset.geometry import PointSet, squared_volume
+from dvsubset.geometry import PointSet, det_laplace, load_pointset, squared_volume
 from dvsubset.rainbow import ExtractionFailure
 
 from helpers import first_fit_growth, slow_max_distinct
@@ -230,6 +231,25 @@ def test_hyperplane_locus_all_zero():
     assert verify_subset(ps, res.subset, 3, "h").valid
 
 
+def test_hyperplane_split_matches_fraction_determinant():
+    # the split reads per-axis-cleared integers; the reference is the sign of
+    # a cofactor expansion on the exact rational differences
+    golden = Path(__file__).resolve().parent / "golden"
+    sets = [load_pointset(golden / f) for f in ("axes.txt", "axes3d.txt")]
+    for ps in sets + [hyperplane_instance()]:
+        d = ps.dimension
+        for anchor in combinations(range(len(ps)), d):
+            candidates = [v for v in range(len(ps)) if v not in anchor]
+            p0 = ps.coords(anchor[0])
+            sides = {1: [], -1: []}
+            for v in candidates:
+                rows = [[x - y for x, y in zip(ps.coords(i), p0)] for i in anchor[1:] + (v,)]
+                det = det_laplace(rows)
+                if det:
+                    sides[1 if det > 0 else -1].append(v)
+            assert _split_by_hyperplane(ps, anchor, candidates) == (sides[1], sides[-1]), anchor
+
+
 def test_hyperplane_instance_rejected_by_h_prime():
     ps = hyperplane_instance()
     with pytest.raises(GeneralPositionError) as err:
@@ -328,6 +348,14 @@ def test_greedy_augment_line():
 def test_greedy_augment_rejects_invalid_seed_subset():
     with pytest.raises(ValueError):
         greedy_augment(SQUARE, [0, 1, 2, 3], 2)
+
+
+def test_greedy_augment_rejects_bad_ids_in_short_seeds():
+    # seeds shorter than a skip verification but not the id checks
+    with pytest.raises(ValueError, match="subset ids must be distinct"):
+        greedy_augment(SQUARE, [1, 1], 3)
+    with pytest.raises(ValueError, match="subset ids out of range"):
+        greedy_augment(SQUARE, [0, 4], 3)
 
 
 def test_greedy_augment_preserves_validity():

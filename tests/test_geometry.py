@@ -9,8 +9,6 @@ from dvsubset.geometry import (
     affine_rank,
     det_bareiss,
     det_laplace,
-    edge_det_denominator,
-    edge_gram_det,
     format_pointset,
     parse_pointset,
     squared_volume,
@@ -206,18 +204,6 @@ def test_affine_rank_cases():
     assert affine_rank(pts) == 3
 
 
-# --------------------------------------------------------------- edge helpers
-
-
-def test_edge_gram_det_matches_public_route():
-    ps = PointSet(2, [(F(1, 2), 0), (2, 0), (0, F(3, 5)), (1, 1)])
-    for edge in [(0, 1), (1, 3), (0, 1, 2), (1, 2, 3)]:
-        a = len(edge)
-        det = edge_gram_det(ps, edge)
-        expect = squared_volume([ps.coords(i) for i in edge])
-        assert F(det, edge_det_denominator(ps, a)) == expect
-
-
 # ----------------------------------------------------------------- validation
 
 
@@ -289,9 +275,11 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_scaled_coordinates_are_consistent():
     ps = PointSet(2, [(F(1, 2), F(1, 3)), (F(1, 5), 2)])
-    scale = ps.scale
+    lcms, columns = ps.axis_columns
+    assert lcms == [10, 3]
+    assert ps.scale == 30
     for i in range(2):
-        assert tuple(F(s, scale) for s in ps.scaled[i]) == ps.coords(i)
+        assert tuple(F(col[i], s) for s, col in zip(lcms, columns)) == ps.coords(i)
 
 
 def test_subset_renumbers_in_order():

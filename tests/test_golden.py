@@ -8,8 +8,10 @@ fallback and hyperplane recordings from the code that still had two
 extraction loops; the three-dimensional random3d and grid3d recordings from
 the code that still stored every determinant at a >= 3; the verify and oracle
 recordings from the code that still computed one Gram determinant per edge;
-the axes and axes3d recordings from the code whose rows at a = d+1 still held
-squared determinants on coordinates cleared by the global lcm.
+the axes and axes3d recordings at a = d+1 from the code whose rows there
+still held squared determinants on coordinates cleared by the global lcm, and
+those below a = d+1, with the fixed-m hyperplane fallback on axes, from the
+code whose rows there still read coordinates cleared by the global lcm.
 Any refactor of coloring, goodness or search must reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
@@ -49,13 +51,18 @@ CASES.update({
     for verb in verbs
     for a in (3, 4)
 })
-# per-axis denominators at a = d+1, where one determinant gives the volume
+# per-axis denominators at every a: one determinant gives the volume at
+# a = d+1, and below it the coordinate sets of one sum carry unequal lcms
 CASES.update({
     f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
-    for name, a in (("axes", 3), ("axes3d", 4))
+    for name, a in (("axes", 2), ("axes", 3), ("axes3d", 2), ("axes3d", 3), ("axes3d", 4))
     for verb in ("color", "goodness", "find")
 })
 CASES["axes.find-t5.a3"] = ["find", "axes.txt", "--a", "3", "--t", "5"]
+# a bad edge whose hyperplane sides are too small: plain extraction follows
+CASES["axes.find-fixed.a3"] = [
+    "find", "axes.txt", "--a", "3", "--mode", "fixed", "--m", "1", "--t", "4",
+]
 CASES["cocircular.find-locus.a2"] = [
     "find", "cocircular.txt", "--a", "2", "--mode", "locus", "--m", "3", "--t", "6", "--seed", "4",
 ]
@@ -85,8 +92,10 @@ CASES.update({
         ("random3d", "", 3, "7,2,4,5", []),
         ("random3d", "", 4, "10,0,1,2,6,3,4", []),
         ("random3d", "-hprime", 4, "9,2,4,5,7", ["--variant", "hprime"]),
+        ("axes", "", 2, "3,0,1,2,7", []),
         ("axes", "", 3, "3,0,1,2,7", []),
         ("axes", "-hprime", 3, "4,0,1,5", ["--variant", "hprime"]),
+        ("axes3d", "", 3, "5,0,1,2,4,3", []),
         ("axes3d", "", 4, "5,0,1,2,4,7", []),
         ("axes3d", "-hprime", 4, "3,0,1,2,6", ["--variant", "hprime"]),
     )
