@@ -35,7 +35,7 @@ from .finder import (
     verify_subset,
 )
 from .generators import GenSpec
-from .geometry import format_pointset, parse_pointset
+from .geometry import format_pointset, load_pointset, parse_pointset
 from .rainbow import ExtractionFailure, as_upper, expected_conflict_bound
 
 MODE_NAMES = {"auto": "auto", "locus": "locus_recursion", "fixed": "fixed_m"}
@@ -43,10 +43,7 @@ VARIANT_NAMES = {"h": "h", "hprime": "h_prime"}
 
 
 def _read_pointset(path):
-    if path == "-":
-        return parse_pointset(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pointset(fh.read())
+    return parse_pointset(sys.stdin.read()) if path == "-" else load_pointset(path)
 
 
 def _emit_json(payload, args, out):
@@ -276,10 +273,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, input_arg=True):
-        if input_arg:
-            p.add_argument("input", nargs="?", default="-", help="point-set file or - for stdin")
-        p.add_argument("--pretty", action="store_true")
+    def common(p, pretty=True):
+        p.add_argument("input", nargs="?", default="-", help="point-set file or - for stdin")
+        if pretty:
+            p.add_argument("--pretty", action="store_true")
 
     g = sub.add_parser("gen", help="emit a generated point set")
     g.add_argument(
@@ -294,11 +291,10 @@ def build_parser():
     g.add_argument("--noise", type=int, default=0)
     g.add_argument("--n-circle", type=int, default=8)
     g.add_argument("--n-noise", type=int, default=0)
-    common(g, input_arg=False)
 
     c = sub.add_parser("color", help="dump the full edge coloring as CSV")
     c.add_argument("--a", type=int, required=True)
-    common(c)
+    common(c, pretty=False)
 
     go = sub.add_parser("goodness", help="largest volume class over any (a-1)-tuple")
     go.add_argument("--a", type=int, required=True)
@@ -345,13 +341,12 @@ def build_parser():
     b.add_argument("--c", type=str, default="1")
     b.add_argument("--base", type=int, default=1)
     b.add_argument("--format", choices=("text", "json"), default="text")
-    common(b, input_arg=False)
+    b.add_argument("--pretty", action="store_true")
 
     be = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
     be.add_argument("--suite", choices=tuple(BENCH_SUITES), default="grids-2d")
     be.add_argument("--budget", type=int, default=100, help="max instances; 0 = header only")
     be.add_argument("--seed", type=int, default=0)
-    common(be, input_arg=False)
 
     return parser
 

@@ -110,6 +110,7 @@ class Coloring:
     __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term")
 
     def __init__(self, a, pset):
+        check_a(a, pset.dimension)
         self.a = a
         self.pset = pset
         self._one_term = a == pset.dimension + 1  # one determinant: raws hold |det|
@@ -245,32 +246,10 @@ def build_coloring(pset, a):
     consistently.  Nothing is computed here: rows and edge values are
     computed when read.
     """
-    n = len(pset)
-    check_a(a, pset.dimension)
-    if n < a:
-        raise ValueError(f"need at least a={a} points, got {n}")
-    return Coloring(a, pset)
-
-
-def anchor_classes(coloring, anchor):
-    """(row, counts, size) for one anchor: its row, its volume class sizes
-    (raw value -> count, zeros dropped) and the largest size (0 if none)."""
-    row = coloring.row(anchor)
-    counts = Counter(row)
-    del counts[0]  # the anchor's own ids, and degenerate extensions
-    return row, counts, max(counts.values(), default=0)
-
-
-def largest_class(coloring, row, counts, size):
-    """(ColorKey, ascending ids) of the row's class of the given size.
-
-    When several classes have that size the smallest reduced (num, den) wins.
-    """
-    raw = min(
-        (r for r, c in counts.items() if c == size),
-        key=lambda r: coloring.volume_key(r).value,
-    )
-    return coloring.volume_key(raw), [v for v, r in enumerate(row) if r == raw]
+    coloring = Coloring(a, pset)
+    if len(pset) < a:
+        raise ValueError(f"need at least a={a} points, got {len(pset)}")
+    return coloring
 
 
 def color_class(coloring, tuple_ids, key):
@@ -296,6 +275,35 @@ def color_class(coloring, tuple_ids, key):
     ]
 
 
+def _largest_class(coloring, anchors, cap=None):
+    """(size, anchor, ColorKey, ascending ids) of the largest volume class
+    over the anchors' rows, or None when no row holds a nonzero value.
+
+    Anchors are read in the given order and the first one holding the
+    largest size wins; among its classes of that size the smallest reduced
+    (num, den) wins.  With `cap` the scan stops at the first anchor whose
+    largest class exceeds cap.
+    """
+    best = 0
+    for anchor in anchors:
+        row = coloring.row(anchor)
+        counts = Counter(row)
+        del counts[0]  # the anchor's own ids, and degenerate extensions
+        size = max(counts.values(), default=0)
+        if size > best:
+            best, best_anchor, best_row, best_counts = size, anchor, row, counts
+            if cap is not None and size > cap:
+                break
+    if not best:
+        return None
+    raw = min(
+        (r for r, c in best_counts.items() if c == best),
+        key=lambda r: coloring.volume_key(r).value,
+    )
+    ext = [v for v, r in enumerate(best_row) if r == raw]
+    return best, best_anchor, coloring.volume_key(raw), ext
+
+
 def goodness(coloring, cap=None):
     """Largest volume color class over any (a-1)-tuple, with a witness.
 
@@ -310,19 +318,12 @@ def goodness(coloring, cap=None):
     size, which is > cap but need not be the global maximum.
     """
     a = coloring.a
-    best = 0
-    for anchor in combinations(range(len(coloring.pset)), a - 1):
-        row, counts, size = anchor_classes(coloring, anchor)
-        if size > best:
-            best, best_anchor, best_row, best_counts = size, anchor, row, counts
-            if cap is not None and size > cap:
-                break
-    if not best:
+    found = _largest_class(coloring, combinations(range(len(coloring.pset)), a - 1), cap)
+    if found is None:
         # fully degenerate coloring: every class is a singleton behind a zero color
         edge = tuple(range(a))
         return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]])
-    key, ext = largest_class(coloring, best_row, best_counts, best)
-    return GoodnessReport(best, best_anchor, key, ext)
+    return GoodnessReport(*found)
 
 
 def write_coloring_csv(coloring, fh):

@@ -9,14 +9,14 @@ Modes:
 
 * auto: measure the coloring's actual goodness m, aim for the largest t with
   4*m*t^(2a-1) <= n, and run plain rainbow extraction.
-* fixed_m: trust a caller-supplied budget m and run the extraction that
-  watches for bad edges.
-* locus_recursion: like fixed_m but with a per-level default budget; a bad
-  edge hands back a structured locus to recurse into. For a=2 the locus is a
-  sphere around the witness point (recurse on it, dimension drops morally by
-  one). For a=d+1 the locus is a pair of parallel hyperplanes: if one side
-  already holds t points those points alone answer the h variant, since every
-  simplex inside a hyperplane is degenerate (certificate "all_zero").
+* locus_recursion: aim t at a class budget m (the caller's, or a per-level
+  default) and watch the extraction for bad edges; a bad edge hands back a
+  structured locus to recurse into. For a=2 the locus is a sphere around the
+  witness point (recurse on it, dimension drops morally by one). For a=d+1
+  the locus is a pair of parallel hyperplanes: if one side already holds t
+  points those points alone answer the h variant, since every simplex inside
+  a hyperplane is degenerate (certificate "all_zero").
+* fixed_m: locus_recursion with a required m.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def general_position_check(pset, a):
 
     Exhaustive over C(n, a) subsets, read from exact integer anchor rows.
     """
-    check_a(a, pset.dimension)
     for edge, raw in Coloring(a, pset).raw_items():
         if raw == 0:
             return False, edge
@@ -218,9 +217,11 @@ def _solve(pset, req, coloring, m_obs, budget=None, first=0):
     """The whole set when it is rainbow already, else one extraction.
 
     Without a budget (auto, and fixed/locus when no locus applies) t follows
-    the observed goodness.  With one, t follows the budget and the extraction
-    watches for bad edges, so a BadEdgeWitness may come back.  Extraction
-    starts at attempt `first`.
+    the observed goodness.  With one, t follows the budget, and when the
+    observed goodness exceeds it the extraction watches for bad edges, so a
+    BadEdgeWitness may come back.  At m_obs <= budget no class anywhere
+    exceeds the budget, so no sample could hold a bad edge and none is
+    scanned.  Extraction starts at attempt `first`.
     """
     n = len(pset)
     m = m_obs if budget is None else budget
@@ -232,9 +233,8 @@ def _solve(pset, req, coloring, m_obs, budget=None, first=0):
             return _result(
                 pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}, report
             )
-    outcome = extract_rainbow(
-        coloring, t, m, req.seed, req.max_retries, watch=budget is not None, first=first
-    )
+    watch = budget is not None and m_obs > budget
+    outcome = extract_rainbow(coloring, t, m, req.seed, req.max_retries, watch, first)
     if not isinstance(outcome, RainbowResult):
         return outcome
     extra = {} if budget is None else {"m_budget": budget}
@@ -243,10 +243,11 @@ def _solve(pset, req, coloring, m_obs, budget=None, first=0):
     return _result(pset, req, outcome.subset, "rainbow", t, m_obs, [], extra)
 
 
-def _run(pset, req, depth):
+def _run(pset, req):
     a = req.a
     n = len(pset)
     d = pset.dimension
+    depth = req.recursion_depth_cap
     if req.variant == "h_prime":
         ok, witness = general_position_check(pset, a)
         if not ok:
@@ -255,12 +256,7 @@ def _run(pset, req, depth):
     m_obs = goodness(coloring).observed_m
     if req.mode == "auto":
         return _solve(pset, req, coloring, m_obs)
-    if req.mode == "fixed_m":
-        if req.m is None:
-            raise ValueError("fixed_m mode requires m")
-        budget = req.m
-    else:
-        budget = req.m if req.m is not None else _level_budget(n, a)
+    budget = req.m if req.m is not None else _level_budget(n, a)
     witness = _solve(pset, req, coloring, m_obs, budget)
     if not isinstance(witness, BadEdgeWitness):
         return witness  # a FindResult or an ExtractionFailure
@@ -278,7 +274,7 @@ def _run(pset, req, depth):
             seed=derive_seed(req.seed, len(carried)),
             recursion_depth_cap=depth - 1,
         )
-        child = _run(pset.subset(carried), child_req, depth - 1)
+        child = _run(pset.subset(carried), child_req)
         if isinstance(child, ExtractionFailure):
             return child
         mapped = [carried[v] for v in child.subset]
@@ -331,6 +327,8 @@ def find_subset(pset, req):
         raise ValueError(f"need at least a={a} points, got {n}")
     if req.mode not in MODES:
         raise ValueError(f"unknown mode {req.mode!r}")
+    if req.mode == "fixed_m" and req.m is None:
+        raise ValueError("fixed_m mode requires m")
     if req.variant not in VARIANTS:
         raise ValueError(f"unknown variant {req.variant!r}")
     if req.max_retries < 1:
@@ -339,8 +337,9 @@ def find_subset(pset, req):
         raise ValueError("t_override must be >= 1")
     if req.m is not None and req.m < 1:
         raise ValueError("m must be >= 1")
-    depth = req.recursion_depth_cap if req.recursion_depth_cap is not None else d
-    return _run(pset, req, depth)
+    if req.recursion_depth_cap is None:
+        req = replace(req, recursion_depth_cap=d)
+    return _run(pset, req)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +381,14 @@ def greedy_augment(pset, subset, a, variant="h"):
     trivially valid.  One anchor row is kept per (a-1)-tuple of the chosen
     set, so a candidate's edges into the set are one read per row.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     chosen = sorted(_checked_ids(pset, subset, a))
-    if len(chosen) >= a and not verify_subset(pset, chosen, a, variant).valid:
-        raise ValueError("input subset fails verification")
     coloring = Coloring(a, pset)
-    seen = {raw for _, raw in coloring.raw_items(chosen) if raw}
+    raws = [raw for _, raw in coloring.raw_items(chosen)]
+    if not _is_rainbow(raws, variant):
+        raise ValueError("input subset fails verification")
+    seen = set(filter(None, raws))
     rows = [coloring.row(anchor) for anchor in combinations(chosen, a - 1)]
     # an id rejected once stays rejected, since its repeated or zero volume
     # stays inside every larger set: one ascending pass adds the same ids as

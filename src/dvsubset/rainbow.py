@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .coloring import ColorKey, anchor_classes, largest_class
+from .coloring import ColorKey, _largest_class
 from .rng import SplitMix64, derive_seed
 
 
@@ -219,10 +219,9 @@ def find_bad_edge(coloring, ids, m):
     each; among a tuple's oversized classes the largest wins, ties to the
     smaller color key.
     """
-    for anchor in combinations(sorted(ids), coloring.a - 1):
-        row, counts, size = anchor_classes(coloring, anchor)
-        if size > m:
-            key, extensions = largest_class(coloring, row, counts, size)
-            edge = tuple(sorted(anchor + (extensions[0],)))
-            return BadEdgeWitness(edge, anchor, key, extensions)
-    return None
+    found = _largest_class(coloring, combinations(sorted(ids), coloring.a - 1), cap=m)
+    if found is None or found[0] <= m:
+        return None
+    _, anchor, key, extensions = found
+    edge = tuple(sorted(anchor + (extensions[0],)))
+    return BadEdgeWitness(edge, anchor, key, extensions)

@@ -7,6 +7,7 @@ beyond consuming its public outputs.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 
 def frac_coords(rows):
@@ -63,11 +64,20 @@ def global_same_color_pairs(coloring):
     return per_s
 
 
+def gram_volume_sq(points):
+    """Squared simplex volume det(G) / ((a-1)!)^2, G the Gram matrix of the
+    differences from the first point, by permutation expansion."""
+    base = points[0]
+    diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
+    return Fraction(det_perm_expansion(gram), factorial(len(diffs)) ** 2)
+
+
 def volume_census(coords, a):
     """Exact squared volume of every a-subset of ids, edge -> Fraction.
 
     Squared distances at a=2 in any dimension, shoelace areas at a=3 in the
-    plane.
+    plane, and Gram determinants by permutation expansion otherwise.
     """
     n = len(coords)
     if a == 2:
@@ -75,13 +85,25 @@ def volume_census(coords, a):
             e: sq_dist(coords[e[0]], coords[e[1]])
             for e in combinations(range(n), 2)
         }
-    if a == 3:
-        assert len(coords[0]) == 2
+    if a == 3 and len(coords[0]) == 2:
         return {
             e: tri_area_sq(coords[e[0]], coords[e[1]], coords[e[2]])
             for e in combinations(range(n), 3)
         }
-    raise ValueError("oracle handles a in (2, 3) only")
+    return {e: gram_volume_sq([coords[i] for i in e]) for e in combinations(range(n), a)}
+
+
+def census_classes(coords, a):
+    """Every nonzero volume class from the census, (anchor, (num, den)) ->
+    extension ids."""
+    classes = {}
+    for edge, vol in volume_census(coords, a).items():
+        if vol == 0:
+            continue
+        for v in edge:
+            anchor = tuple(u for u in edge if u != v)
+            classes.setdefault((anchor, (vol.numerator, vol.denominator)), []).append(v)
+    return classes
 
 
 def reference_goodness(coords, a, cap=None):
@@ -92,13 +114,7 @@ def reference_goodness(coords, a, cap=None):
     size.  With cap, only the first anchor in lexicographic order holding a
     class larger than cap competes, when there is one.
     """
-    classes = {}
-    for edge, vol in volume_census(coords, a).items():
-        if vol == 0:
-            continue
-        for v in edge:
-            anchor = tuple(u for u in edge if u != v)
-            classes.setdefault((anchor, (vol.numerator, vol.denominator)), []).append(v)
+    classes = census_classes(coords, a)
     if cap is not None:
         for anchor in combinations(range(len(coords)), a - 1):
             mine = {k: ext for k, ext in classes.items() if k[0] == anchor}
@@ -108,6 +124,25 @@ def reference_goodness(coords, a, cap=None):
     best = max(len(ext) for ext in classes.values())
     anchor, key = min(k for k, ext in classes.items() if len(ext) == best)
     return best, anchor, key, sorted(classes[anchor, key])
+
+
+def reference_bad_edge(coords, a, ids, m):
+    """(edge, tuple, (num, den), extensions) from the census, or None.
+
+    The tuple is the lexicographically first (a-1)-tuple of sorted ids whose
+    largest nonzero volume class over the whole set exceeds m.  Among its
+    classes of that size the least reduced (num, den) wins, as in
+    reference_goodness, and the edge is the tuple plus the first extension.
+    """
+    classes = census_classes(coords, a)
+    for anchor in combinations(sorted(ids), a - 1):
+        mine = {k[1]: ext for k, ext in classes.items() if k[0] == anchor}
+        best = max(map(len, mine.values()), default=0)
+        if best > m:
+            key = min(k for k, ext in mine.items() if len(ext) == best)
+            ext = sorted(mine[key])
+            return tuple(sorted(anchor + (ext[0],))), anchor, key, ext
+    return None
 
 
 def slow_max_distinct(coords, a, variant="h"):

@@ -97,6 +97,15 @@ def test_goodness_json(square_file):
     assert payload["config"] == {"a": 2}
 
 
+def test_text_and_csv_verbs_have_no_pretty(square_file):
+    for argv in (
+        ["gen", "grid", "--pretty"],
+        ["color", square_file, "--a", "2", "--pretty"],
+        ["bench", "--budget", "0", "--pretty"],
+    ):
+        assert invoke(argv) == (2, ""), argv
+
+
 def test_goodness_pretty_is_same_payload(square_file):
     _, compact = invoke(["goodness", square_file, "--a", "2"])
     _, pretty = invoke(["goodness", square_file, "--a", "2", "--pretty"])

@@ -9,6 +9,7 @@ import pytest
 
 from dvsubset.coloring import (
     ColorKey,
+    Coloring,
     build_coloring,
     color_class,
     goodness,
@@ -128,6 +129,15 @@ def test_build_validation():
         build_coloring(ps, 1)
     with pytest.raises(ValueError):
         build_coloring(PointSet(2, SQUARE[:2]), 3)  # n < a
+
+
+def test_coloring_checks_a():
+    # the constructor itself, not only build_coloring: on planar points a=4
+    # once reported m=1 behind a zero-color witness
+    ps = PointSet(2, SQUARE + [(2, 3)])
+    for a in (1, 4):
+        with pytest.raises(ValueError, match=r"need 2 <= a <= d\+1"):
+            Coloring(a, ps)
 
 
 def test_relabeling_consistency():

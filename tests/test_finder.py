@@ -8,7 +8,7 @@ import pytest
 from dvsubset import rainbow
 from dvsubset.bounds import int_nth_root
 from dvsubset.cli import run
-from dvsubset.coloring import ColorKey
+from dvsubset.coloring import ColorKey, build_coloring, goodness
 from dvsubset.finder import (
     FindRequest,
     FindResult,
@@ -157,6 +157,33 @@ def test_fixed_m_runs_fast_path():
     assert res.stats["m_budget"] == 1
     assert res.recursion_trace and res.recursion_trace[0]["locus"] == "sphere"
     assert verify_subset(ps, res.subset, 2).valid
+
+
+@pytest.mark.parametrize("mode", ["fixed_m", "locus_recursion"])
+def test_bad_edges_are_watched_only_above_the_budget(monkeypatch, mode):
+    # a bad edge needs a class larger than m, so at m >= observed m no sample
+    # is scanned; below it the first sample already is
+    scanned = []
+    scan = rainbow.find_bad_edge
+
+    def counted(coloring, ids, m):
+        scanned.append(m)
+        return scan(coloring, ids, m)
+
+    monkeypatch.setattr(rainbow, "find_bad_edge", counted)
+    cases = [
+        (gen_random(2, 30, 12, seed=1), 2),
+        (gen_random(2, 24, 30, seed=7), 3),
+        (gen_random(3, 12, 20, seed=5), 4),
+    ]
+    for ps, a in cases:
+        m_obs = goodness(build_coloring(ps, a)).observed_m
+        assert m_obs >= 2
+        for m in (m_obs - 1, m_obs, m_obs + 1):
+            scanned.clear()
+            req = FindRequest(a=a, mode=mode, m=m, t_override=a + 1, max_retries=4)
+            find_subset(ps, req)
+            assert bool(scanned) == (m < m_obs), (a, m, m_obs)
 
 
 # ---------------------------------------------------------------- sphere locus
@@ -356,6 +383,12 @@ def test_greedy_augment_rejects_bad_ids_in_short_seeds():
         greedy_augment(SQUARE, [1, 1], 3)
     with pytest.raises(ValueError, match="subset ids out of range"):
         greedy_augment(SQUARE, [0, 4], 3)
+
+
+def test_greedy_augment_checks_the_variant_first():
+    for seed in ([], [0], [0, 1]):
+        with pytest.raises(ValueError, match="unknown variant"):
+            greedy_augment(SQUARE, seed, 2, variant="bogus")
 
 
 def test_greedy_augment_preserves_validity():

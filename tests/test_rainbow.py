@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from dvsubset.coloring import ColorKey, build_coloring, goodness
-from dvsubset.generators import gen_cocircular_plus_noise, gen_grid, gen_random
+from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
 from dvsubset.geometry import PointSet
 from dvsubset.rainbow import (
     BadEdgeWitness,
@@ -16,8 +16,9 @@ from dvsubset.rainbow import (
     find_bad_edge,
     sample_conflicts,
 )
+from dvsubset.rng import SplitMix64
 
-from helpers import frac_coords, global_same_color_pairs, pair_distance_census
+from helpers import frac_coords, global_same_color_pairs, pair_distance_census, reference_bad_edge
 
 F = Fraction
 
@@ -210,6 +211,37 @@ def test_find_bad_edge_tie_breaks():
     assert w.color == ColorKey.from_volume(1)
     assert w.extensions == [1, 3]
     assert w.edge == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "pset",
+    [
+        gen_random(2, 12, 9, seed=1),  # small coordinates force ties
+        gen_cocircular_plus_noise(8, 4, seed=3),
+        gen_grid(2, 4),
+        gen_random(3, 10, 6, seed=2),
+    ],
+    ids=["random", "cocircular", "grid4", "random3d"],
+)
+def test_find_bad_edge_matches_census_reference(pset):
+    n = len(pset)
+    coords = [p.coords for p in pset]
+    perm = SplitMix64(n).sample(n, n)
+    for a in range(2, pset.dimension + 2):
+        col = build_coloring(pset, a)
+        # too short for an anchor, one anchor, and several ascending or not
+        id_lists = [[], perm[: a - 2], perm[: a - 1], perm[: a + 1], perm[n // 2 :], list(range(n))]
+        for ids in id_lists:
+            for m in range(goodness(col).observed_m + 2):
+                w = find_bad_edge(col, ids, m)
+                got = None if w is None else (w.edge, w.tuple_ids, w.color.value, w.extensions)
+                assert got == reference_bad_edge(coords, a, ids, m), (a, ids, m)
+
+
+def test_find_bad_edge_none_on_a_degenerate_coloring():
+    # every triangle on a line is degenerate: no class at all, even at m=0
+    col = build_coloring(gen_collinear(6), 3)
+    assert find_bad_edge(col, range(6), 0) is None
 
 
 def test_find_bad_edge_json():
