@@ -81,6 +81,7 @@ class GoodnessReport:
     witness_tuple: tuple
     witness_color: ColorKey
     witness_extensions: list
+    rainbow: bool = False  # no nonzero value repeats on any two edges
 
     def to_json(self):
         return {
@@ -171,17 +172,21 @@ class Coloring:
             raise RuntimeError(f"internal error: edge {edge} has no raw value")
         return raw
 
-    def raw_items(self, ids=None):
-        """(edge, raw) for every edge inside ids (default all), in combinations order.
+    def _runs(self, ids):
+        """(anchor, rest) per run of the edges inside ids, in combinations order.
 
         Combinations order runs the last position fastest, so the edges that
-        share their first a-1 positions come in one run: one row, over the
-        ids after the anchor's last position.
+        share their first a-1 positions come in one run: the anchor, extended
+        by each id after the anchor's last position.
         """
         ids = list(range(len(self.pset)) if ids is None else ids)
         for pos in combinations(range(len(ids) - 1), self.a - 1):
-            anchor = tuple(ids[p] for p in pos)
-            rest = ids[pos[-1] + 1 :]
+            yield tuple(ids[p] for p in pos), ids[pos[-1] + 1 :]
+
+    def raw_items(self, ids=None):
+        """(edge, raw) for every edge inside ids (default all), in combinations
+        order: one row per run."""
+        for anchor, rest in self._runs(ids):
             yield from zip([anchor + (v,) for v in rest], self.row(anchor, rest))
 
     def volume_key(self, raw):
@@ -275,6 +280,32 @@ def color_class(coloring, tuple_ids, key):
     ]
 
 
+def distinct_zeros(coloring, ids=None, no_zeros=False, seen=None):
+    """The number of zero edges inside ids (default all) when no nonzero raw
+    repeats among them, else None; with no_zeros, None at the first zero
+    edge too.
+
+    Reads the runs of `raw_items` without building an edge, and stops at the
+    first row that repeats a raw: the set of raws seen then grows by less
+    than the row's nonzero count.  `seen`, when given, collects the nonzero
+    raws read.
+    """
+    seen = set() if seen is None else seen
+    zeros = 0
+    for anchor, rest in coloring._runs(ids):
+        row = coloring.row(anchor, rest)
+        nonzero = list(filter(None, row))
+        if len(nonzero) < len(row):
+            if no_zeros:
+                return None
+            zeros += len(row) - len(nonzero)
+        size = len(seen)
+        seen.update(nonzero)
+        if len(seen) - size < len(nonzero):
+            return None
+    return zeros
+
+
 def _largest_class(coloring, anchors, cap=None):
     """(size, anchor, ColorKey, ascending ids) of the largest volume class
     over the anchors' rows, or None when no row holds a nonzero value.
@@ -287,6 +318,8 @@ def _largest_class(coloring, anchors, cap=None):
     best = 0
     for anchor in anchors:
         row = coloring.row(anchor)
+        if len(row) - len(set(row)) + 1 <= best:
+            continue  # no value of this row occurs more than best times
         counts = Counter(row)
         del counts[0]  # the anchor's own ids, and degenerate extensions
         size = max(counts.values(), default=0)
@@ -313,17 +346,24 @@ def goodness(coloring, cap=None):
     construction, so they never contribute; a fully degenerate coloring
     reports m=1 at its first edge.
 
+    The edges are first read once by `distinct_zeros`, which stops at the
+    first repeated value.  When none repeats the report is `rainbow`, every
+    class is a singleton, and the first anchor holding a nonzero value is
+    the witness, so the class scan stops there.
+
     With `cap` the scan stops at the first anchor, in lexicographic order,
     whose largest class exceeds cap.  observed_m is then that class's exact
     size, which is > cap but need not be the global maximum.
     """
     a = coloring.a
-    found = _largest_class(coloring, combinations(range(len(coloring.pset)), a - 1), cap)
+    rainbow = distinct_zeros(coloring) is not None
+    anchors = combinations(range(len(coloring.pset)), a - 1)
+    found = _largest_class(coloring, anchors, 0 if rainbow else cap)
     if found is None:
         # fully degenerate coloring: every class is a singleton behind a zero color
         edge = tuple(range(a))
-        return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]])
-    return GoodnessReport(*found)
+        return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]], rainbow)
+    return GoodnessReport(*found, rainbow)
 
 
 def write_coloring_csv(coloring, fh):

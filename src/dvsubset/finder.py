@@ -5,10 +5,16 @@ which all nonzero squared a-point volumes are distinct (degenerate simplices
 are allowed, even all of them). Variant "h_prime" additionally requires the
 whole input in general position and no degenerate simplex inside the answer.
 
+Every mode first measures the coloring's goodness m, which begins with one
+scan of the edges that stops at the first repeated volume: when none
+repeats, the whole set is the answer (m is then 1, since each anchor class
+holds at most one edge), and only otherwise is m measured in full and a
+subset searched for.
+
 Modes:
 
-* auto: measure the coloring's actual goodness m, aim for the largest t with
-  4*m*t^(2a-1) <= n, and run plain rainbow extraction.
+* auto: aim for the largest t with 4*m*t^(2a-1) <= n, m the observed
+  goodness, and run plain rainbow extraction.
 * locus_recursion: aim t at a class budget m (the caller's, or a per-level
   default) and watch the extraction for bad edges; a bad edge hands back a
   structured locus to recurse into. For a=2 the locus is a sphere around the
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
-from .coloring import Coloring, build_coloring, goodness
+from .coloring import Coloring, build_coloring, distinct_zeros, goodness
 from .geometry import check_a, det_bareiss, squared_volume
 from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
 from .rng import derive_seed
@@ -111,16 +117,24 @@ def _checked_ids(pset, subset, a):
 
 
 def verify_subset(pset, subset, a, variant="h"):
-    """Exact check of a candidate answer over all of its a-subsets."""
-    ids = _checked_ids(pset, subset, a)
+    """Exact check of a candidate answer over all of its a-subsets.
+
+    One scan stops at the first repeated volume (or, under h_prime, the
+    first degenerate edge); when it reads every edge the subset is valid.
+    Only a subset that fails is read again, to group its repeated volumes.
+    """
+    ids = sorted(_checked_ids(pset, subset, a))
     if len(ids) < a:
         raise ValueError(f"subset needs at least a={a} ids")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coloring = Coloring(a, pset)
+    zero_edges = distinct_zeros(coloring, ids, variant == "h_prime")
+    if zero_edges is not None:
+        return VerifyReport(True, [], zero_edges)
     first, repeats = {}, {}  # raw -> its first edge; raw -> all its edges, if it repeats
     zero_edges = 0
-    for edge, raw in coloring.raw_items(sorted(ids)):
+    for edge, raw in coloring.raw_items(ids):
         if not raw:
             zero_edges += 1
         elif (head := first.setdefault(raw, edge)) is not edge:
@@ -196,11 +210,9 @@ def _split_by_hyperplane(pset, anchor, candidates):
     return pos, neg
 
 
-def _result(pset, req, subset, certificate, t, m_obs, trace, extra, report=None):
-    """FindResult for a subset that passes verify_subset (report: its check, if run)."""
-    if report is None:
-        report = verify_subset(pset, subset, req.a, req.variant)
-    if not report.valid:
+def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
+    """FindResult for a subset that passes verify_subset."""
+    if not verify_subset(pset, subset, req.a, req.variant).valid:
         raise RuntimeError("internal error: search produced an invalid subset")
     stats = {
         "n": len(pset),
@@ -214,7 +226,7 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra, report=None)
 
 
 def _solve(pset, req, coloring, m_obs, budget=None, first=0):
-    """The whole set when it is rainbow already, else one extraction.
+    """One extraction, on a set whose goodness report is not rainbow.
 
     Without a budget (auto, and fixed/locus when no locus applies) t follows
     the observed goodness.  With one, t follows the budget, and when the
@@ -223,16 +235,8 @@ def _solve(pset, req, coloring, m_obs, budget=None, first=0):
     exceeds the budget, so no sample could hold a bad edge and none is
     scanned.  Extraction starts at attempt `first`.
     """
-    n = len(pset)
     m = m_obs if budget is None else budget
-    t = _target_t(n, m, req.a, req.t_override)
-    # m_obs >= 2 already names two edges of one color
-    if m_obs <= 1:
-        report = verify_subset(pset, range(n), req.a, req.variant)
-        if report.valid:
-            return _result(
-                pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True}, report
-            )
+    t = _target_t(len(pset), m, req.a, req.t_override)
     watch = budget is not None and m_obs > budget
     outcome = extract_rainbow(coloring, t, m, req.seed, req.max_retries, watch, first)
     if not isinstance(outcome, RainbowResult):
@@ -253,10 +257,15 @@ def _run(pset, req):
         if not ok:
             raise GeneralPositionError(witness)
     coloring = build_coloring(pset, a)
-    m_obs = goodness(coloring).observed_m
-    if req.mode == "auto":
+    report = goodness(coloring)
+    m_obs = report.observed_m
+    budget = None if req.mode == "auto" else req.m or _level_budget(n, a)
+    if report.rainbow:
+        # no volume repeats; under h_prime the check above ruled out zeros
+        t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
+        return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
+    if budget is None:
         return _solve(pset, req, coloring, m_obs)
-    budget = req.m if req.m is not None else _level_budget(n, a)
     witness = _solve(pset, req, coloring, m_obs, budget)
     if not isinstance(witness, BadEdgeWitness):
         return witness  # a FindResult or an ExtractionFailure
@@ -385,10 +394,9 @@ def greedy_augment(pset, subset, a, variant="h"):
         raise ValueError(f"unknown variant {variant!r}")
     chosen = sorted(_checked_ids(pset, subset, a))
     coloring = Coloring(a, pset)
-    raws = [raw for _, raw in coloring.raw_items(chosen)]
-    if not _is_rainbow(raws, variant):
+    seen = set()  # the nonzero raws inside the chosen set
+    if distinct_zeros(coloring, chosen, variant == "h_prime", seen) is None:
         raise ValueError("input subset fails verification")
-    seen = set(filter(None, raws))
     rows = [coloring.row(anchor) for anchor in combinations(chosen, a - 1)]
     # an id rejected once stays rejected, since its repeated or zero volume
     # stays inside every larger set: one ascending pass adds the same ids as

@@ -232,10 +232,16 @@ def squared_volume_cm(points):
 
 
 def affine_rank(points):
-    """Rank of the difference vectors p_i - p_0, by exact Gaussian elimination."""
+    """Rank of the difference vectors p_i - p_0, by fraction-free elimination.
+
+    The coordinates are cleared by their common denominator first, a
+    positive scaling that keeps the rank, and each elimination step scales a
+    row by the pivot instead of dividing, so every entry stays an integer.
+    """
     pts, d = _coords_list(points)
-    base = pts[0]
-    rows = [[x - b for x, b in zip(c, base)] for c in pts[1:]]
+    _, ints = _cleared(pts)
+    base = ints[0]
+    rows = [[x - b for x, b in zip(c, base)] for c in ints[1:]]
     rank = 0
     for col in range(d):
         pivot = None
@@ -248,9 +254,8 @@ def affine_rank(points):
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / lead[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+            if f := rows[i][col]:
+                rows[i] = [x * lead[col] - f * y for x, y in zip(rows[i], lead)]
         rank += 1
     return rank
 

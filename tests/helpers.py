@@ -185,3 +185,46 @@ def first_fit_growth(n, subset, valid):
                 break
         else:
             return chosen
+
+
+def census_verify(coords, a, ids, variant="h"):
+    """(valid, groups, zero count) for the edges inside ids, from the census.
+
+    groups is [((num, den), edges)] for every repeated nonzero volume, by
+    ascending volume, each with its edges in combinations order of the
+    sorted ids.  valid means no group and, under h_prime, no zero edge.
+    """
+    ids = sorted(ids)
+    census = volume_census([coords[i] for i in ids], a)
+    by_volume = {}
+    zeros = 0
+    for edge, vol in census.items():
+        if vol == 0:
+            zeros += 1
+        else:
+            by_volume.setdefault(vol, []).append(tuple(ids[p] for p in edge))
+    groups = [
+        ((vol.numerator, vol.denominator), edges)
+        for vol, edges in sorted(by_volume.items())
+        if len(edges) > 1
+    ]
+    valid = not groups and (variant == "h" or zeros == 0)
+    return valid, groups, zeros
+
+
+def fraction_affine_rank(points):
+    """Rank of the differences p_i - p_0 by Gaussian elimination on Fractions."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    rows = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / lead[col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        rank += 1
+    return rank

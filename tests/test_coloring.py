@@ -12,14 +12,20 @@ from dvsubset.coloring import (
     Coloring,
     build_coloring,
     color_class,
+    distinct_zeros,
     goodness,
     write_coloring_csv,
 )
-from dvsubset.generators import gen_grid, gen_random
+from dvsubset.generators import (
+    gen_cocircular_plus_noise,
+    gen_collinear,
+    gen_grid,
+    gen_random,
+)
 from dvsubset.geometry import PointSet, load_pointset, squared_volume
 from dvsubset.rng import SplitMix64
 
-from helpers import frac_coords, pair_distance_census, reference_goodness
+from helpers import census_verify, frac_coords, pair_distance_census, reference_goodness
 
 F = Fraction
 
@@ -381,3 +387,69 @@ def test_csv_zero_rows():
     buf = io.StringIO()
     write_coloring_csv(col, buf)
     assert "0,1,2,zero,0,1" in buf.getvalue().splitlines()
+
+
+# ------------------------------------------------------------ distinct scan
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def scan_sets():
+    yield "random", gen_random(2, 12, 30, seed=3)
+    yield "mixed", load_pointset(GOLDEN / "mixed.txt")
+    yield "grid4", gen_grid(2, 4)
+    yield "grid3d", gen_grid(3, 3).subset(range(0, 27, 2))  # 14 of the 3x3x3 grid
+    yield "collinear", gen_collinear(6, 4, seed=2, coord_bound=40)
+    yield "cocircular", gen_cocircular_plus_noise(8, 4, seed=1, coord_bound=40)
+    yield "axes", load_pointset(GOLDEN / "axes.txt")
+    yield "axes3d", load_pointset(GOLDEN / "axes3d.txt")
+
+
+def test_distinct_scan_matches_census():
+    # the whole set and small subsets, so both verdicts occur on most sets
+    rng = SplitMix64(5)
+    verdicts = set()
+    for name, pset in scan_sets():
+        coords = [p.coords for p in pset]
+        n = len(pset)
+        for a in range(2, pset.dimension + 2):
+            coloring = Coloring(a, pset)
+            id_lists = [list(range(n))]
+            id_lists += [rng.sample(n, min(n, a + k)) for k in range(4) for _ in range(3)]
+            for ids in id_lists:
+                for variant in ("h", "h_prime"):
+                    got = distinct_zeros(coloring, ids, variant == "h_prime")
+                    valid, _, zeros = census_verify(coords, a, ids, variant)
+                    assert got == (zeros if valid else None), (name, a, ids, variant)
+                    verdicts.add((name, got is not None))
+    names = {name for name, _ in scan_sets()}
+    assert {name for name, ok in verdicts if ok} == names
+    assert {name for name, ok in verdicts if not ok} == names - {"mixed"}
+
+
+def test_goodness_is_rainbow_exactly_when_the_scan_passes():
+    # the report of the short path equals the full census's, with m = 1
+    rng = SplitMix64(9)
+    verdicts = []
+    for seed in range(8):
+        pset = gen_random(2, 9, 40, seed=seed)
+        for a in (2, 3):
+            for _ in range(6):
+                sub = pset.subset(rng.sample(len(pset), a + 1 + rng.below(4)))
+                coloring = build_coloring(sub, a)
+                coords = [p.coords for p in sub]
+                for cap in (None, 1):
+                    rep = goodness(coloring, cap)
+                    assert rep.rainbow == (distinct_zeros(coloring) is not None)
+                    got = (
+                        rep.observed_m,
+                        rep.witness_tuple,
+                        rep.witness_color.value,
+                        rep.witness_extensions,
+                    )
+                    assert got == reference_goodness(coords, a, cap), (seed, a, cap)
+                    assert rep.observed_m == 1 or not rep.rainbow
+                verdicts.append(rep.rainbow)
+    assert 20 <= sum(verdicts) < len(verdicts)
+    mixed = load_pointset(GOLDEN / "mixed.txt")
+    assert all(goodness(build_coloring(mixed, a)).rainbow for a in (2, 3))

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from dvsubset import rainbow
+from dvsubset import finder, rainbow
 from dvsubset.bounds import int_nth_root
 from dvsubset.cli import run
-from dvsubset.coloring import ColorKey, build_coloring, goodness
+from dvsubset.coloring import ColorKey, Coloring, build_coloring, goodness
 from dvsubset.finder import (
     FindRequest,
     FindResult,
@@ -23,8 +23,11 @@ from dvsubset.finder import (
 from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
 from dvsubset.geometry import PointSet, det_laplace, load_pointset, squared_volume
 from dvsubset.rainbow import ExtractionFailure
+from dvsubset.rng import SplitMix64
 
-from helpers import first_fit_growth, slow_max_distinct
+from helpers import census_verify, first_fit_growth, slow_max_distinct
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 F = Fraction
 
@@ -83,6 +86,53 @@ def test_verify_json_shape():
     assert {g["color"]["value"] for g in j["duplicate_groups"]} == {"1/1", "2/1"}
 
 
+def test_verify_reads_a_valid_subset_once(monkeypatch):
+    # a valid subset is decided by the scan alone: the grouping pass, the
+    # only reader of raw_items here, never runs
+    def grouping(*args):
+        raise AssertionError("grouping pass on a valid subset")
+
+    pset = load_pointset(GOLDEN / "mixed.txt")
+    monkeypatch.setattr(Coloring, "raw_items", grouping)
+    for a in (2, 3):
+        for variant in ("h", "h_prime"):
+            report = verify_subset(pset, range(14), a, variant)
+            assert report.valid and report.duplicate_groups == [] and report.zero_edges == 0
+    report = verify_subset(MIXED, [3, 2, 1, 0], 3)
+    assert report.valid and report.duplicate_groups == [] and report.zero_edges == 1
+    line = PointSet(2, [(i, 3 * i) for i in range(5)])  # every triangle degenerate
+    report = verify_subset(line, range(5), 3)
+    assert report.valid and report.duplicate_groups == [] and report.zero_edges == 10
+
+
+def test_verify_reports_match_census():
+    rng = SplitMix64(17)
+    sets = [
+        gen_random(2, 12, 12, seed=2),
+        gen_grid(2, 4),
+        gen_collinear(6, 4, seed=1, coord_bound=30),
+        load_pointset(GOLDEN / "axes3d.txt"),
+    ]
+    outcomes = set()
+    for pset in sets:
+        coords = [p.coords for p in pset]
+        for a in range(2, pset.dimension + 2):
+            for _ in range(12):
+                ids = rng.sample(len(pset), a + rng.below(5))
+                ids.reverse()  # verify sorts the ids itself
+                for variant in ("h", "h_prime"):
+                    report = verify_subset(pset, ids, a, variant)
+                    got = (
+                        report.valid,
+                        [(key.value, edges) for key, edges in report.duplicate_groups],
+                        report.zero_edges,
+                    )
+                    assert got == census_verify(coords, a, ids, variant), (a, ids, variant)
+                    outcomes.add((report.valid, bool(report.duplicate_groups), variant))
+    # valid, repeated volumes, and under h_prime degenerate edges alone
+    assert {(True, False, "h"), (False, True, "h"), (False, False, "h_prime")} <= outcomes
+
+
 # ------------------------------------------------------------ general position
 
 
@@ -115,6 +165,43 @@ def test_auto_whole_set_shortcut():
     res = find_subset(ps, FindRequest(a=2))
     assert res.subset == [0, 1, 2]
     assert res.stats.get("whole_set") is True
+
+
+def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
+    # a rainbow whole set answers without extraction and is verified once;
+    # where goodness is 1 but a volume repeats, the whole set is never
+    # verified, so its repeated volumes are never grouped
+    verified, extracted = [], []
+    check, extract = finder.verify_subset, finder.extract_rainbow
+
+    def counted_check(pset, subset, *rest):
+        verified.append(len(subset))
+        return check(pset, subset, *rest)
+
+    def counted_extract(*args):
+        extracted.append(args[1])
+        return extract(*args)
+
+    monkeypatch.setattr(finder, "verify_subset", counted_check)
+    monkeypatch.setattr(finder, "extract_rainbow", counted_extract)
+    mixed = load_pointset(GOLDEN / "mixed.txt")
+    for req in (
+        FindRequest(a=3),
+        FindRequest(a=3, mode="fixed_m", m=2, t_override=5),
+        FindRequest(a=3, mode="locus_recursion"),
+        FindRequest(a=2, variant="h_prime"),
+    ):
+        verified.clear()
+        res = find_subset(mixed, req)
+        assert res.stats["whole_set"] and res.observed_m == 1
+        assert verified == [14] and extracted == []
+    axes = load_pointset(GOLDEN / "axes.txt")
+    for pset, m_obs in ((axes, 1), (gen_random(2, 30, 12, seed=1), None)):
+        verified.clear()
+        res = find_subset(pset, FindRequest(a=2))
+        assert "whole_set" not in res.stats and extracted
+        assert m_obs in (None, res.observed_m)
+        assert verified == [len(res.subset)] and len(pset) not in verified
 
 
 def test_auto_failure_propagates():
@@ -375,6 +462,10 @@ def test_greedy_augment_line():
 def test_greedy_augment_rejects_invalid_seed_subset():
     with pytest.raises(ValueError):
         greedy_augment(SQUARE, [0, 1, 2, 3], 2)
+    # ids 0, 1, 2 of MIXED are collinear: a zero edge only h_prime rejects
+    assert greedy_augment(MIXED, [0, 1, 2], 3) == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        greedy_augment(MIXED, [0, 1, 2], 3, variant="h_prime")
 
 
 def test_greedy_augment_rejects_bad_ids_in_short_seeds():

@@ -16,7 +16,7 @@ from dvsubset.geometry import (
 )
 from dvsubset.rng import SplitMix64
 
-from helpers import det_perm_expansion, frac_coords, tri_area_sq
+from helpers import det_perm_expansion, frac_coords, fraction_affine_rank, tri_area_sq
 
 F = Fraction
 
@@ -202,6 +202,26 @@ def test_affine_rank_cases():
     assert affine_rank(pts[:4]) == 2  # coplanar square
     assert affine_rank([pts[0], pts[1], pts[2], pts[4]]) == 3
     assert affine_rank(pts) == 3
+
+
+def test_affine_rank_matches_fraction_elimination():
+    # every (a, d) simplex shape, with the last vertex often forced onto the
+    # affine hull of the others, plus more points than d+1
+    rng = SplitMix64(31)
+    for a, d in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5), (6, 3)]:
+        ranks = set()
+        for k in range(40):
+            pts = random_points(rng, a, d)
+            if k % 2 and a >= 3:
+                w = [F(rng.below(5) - 2, 1 + rng.below(3)) for _ in range(a - 1)]
+                w[0] += 1 - sum(w)
+                pts[-1] = tuple(sum(wi * p[j] for wi, p in zip(w, pts)) for j in range(d))
+            rank = affine_rank(pts)
+            assert rank == fraction_affine_rank(pts), pts
+            ranks.add(rank)
+        assert min(a - 1, d) in ranks
+        if 3 <= a <= d + 1:
+            assert a - 2 in ranks  # the degenerate simplices
 
 
 # ----------------------------------------------------------------- validation

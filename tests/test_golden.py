@@ -13,7 +13,12 @@ still held squared determinants on coordinates cleared by the global lcm, and
 those below a = d+1, with the fixed-m hyperplane fallback on axes, from the
 code whose rows there still read coordinates cleared by the global lcm;
 the locus find on random at a=3 and the fixed find on random3d at a=4 from
-the code that still scanned every sample for bad edges within the budget.
+the code that still scanned every sample for bad edges within the budget;
+the mixed recordings from the code whose goodness still counted every
+anchor class of a set with no repeated volume.  The mixed finds all answer
+with the whole set (`whole_set` in stats); `axes.find.a2` and
+`axes3d.find.a2` guard the other branch, where goodness is 1 but the whole
+set is not rainbow.
 Any refactor of coloring, goodness or search must reproduce them exactly.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
@@ -35,7 +40,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # grid3d.txt (gen grid --d 3 --side 3),
 # axes.txt and axes3d.txt (hand-written; each axis draws its denominators
 # from its own set, so every axis lcm differs from the others and from the
-# global lcm: 6, 35 and 210 in the plane, 4, 3, 35 and 420 in space)
+# global lcm: 6, 35 and 210 in the plane, 4, 3, 35 and 420 in space),
+# mixed.txt (14 plane points, numerators in [-1000, 1000] over a denominator
+# in 1..5000 per coordinate, drawn from SplitMix64(12): its whole set is
+# valid at a=2 and a=3 under both variants)
 CASES = {
     f"{name}.{verb}.a{a}": [verb, name + ".txt", "--a", str(a)]
     for name in ("random", "grid4", "cocircular")
@@ -113,6 +121,19 @@ CASES.update({
         ("axes3d", "-hprime", 4, "3,0,1,2,6", ["--variant", "hprime"]),
     )
 })
+# the whole set answers at once: every mode, both variants, and its verify
+CASES.update({
+    f"mixed.find{suffix}.a{a}": ["find", "mixed.txt", "--a", str(a), *flags]
+    for suffix, a, flags in (
+        ("", 2, []),
+        ("", 3, []),
+        ("-fixed", 3, ["--mode", "fixed", "--m", "2", "--t", "5"]),
+        ("-locus", 3, ["--mode", "locus"]),
+        ("-hprime", 3, ["--variant", "hprime"]),
+    )
+})
+CASES["mixed.verify.a3"] = ["verify", "mixed.txt", "--a", "3", "--subset", ",".join(map(str, range(14)))]
+PASSES = {"mixed.verify.a3"}
 # the exhaustive oracle, at its default cap for a=2 and a raised one for a=3
 CASES["random3d.oracle.a2"] = ["oracle", "random3d.txt", "--a", "2"]
 CASES["random3d.oracle.a3"] = ["oracle", "random3d.txt", "--a", "3", "--max-n", "12"]
@@ -139,5 +160,6 @@ def run_case(argv):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_stdout_matches_recording(case):
     code, text = run_case(CASES[case])
-    assert code == (1 if CASES[case][0] == "verify" or case in FAILS else 0), case
+    fails = (CASES[case][0] == "verify" and case not in PASSES) or case in FAILS
+    assert code == (1 if fails else 0), case
     assert text == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
