@@ -36,7 +36,6 @@ from .finder import (
     verify_subset,
 )
 from .generators import (
-    GenSpec,
     gen_cocircular_plus_noise,
     gen_collinear,
     gen_grid,
@@ -78,7 +77,6 @@ __all__ = [
     "ExtractionFailure",
     "FindRequest",
     "FindResult",
-    "GenSpec",
     "GeneralPositionError",
     "GoodnessReport",
     "H_general_recurrence",

@@ -18,6 +18,8 @@ import csv
 import json
 import sys
 import time
+from functools import cache, partial
+
 from .bounds import (
     H_general_recurrence,
     H_simplex_upper,
@@ -34,12 +36,40 @@ from .finder import (
     find_subset,
     verify_subset,
 )
-from .generators import GenSpec
+from .generators import (
+    gen_cocircular_plus_noise,
+    gen_collinear,
+    gen_grid,
+    gen_parallel_lines,
+    gen_random,
+    gen_sphere2d,
+)
 from .geometry import format_pointset, load_pointset, parse_pointset
 from .rainbow import ExtractionFailure, as_upper, expected_conflict_bound
 
 MODE_NAMES = {"auto": "auto", "locus": "locus_recursion", "fixed": "fixed_m"}
 VARIANT_NAMES = {"h": "h", "hprime": "h_prime"}
+
+# gen kind / bounds formula -> (library function, {flag: default} in the
+# function's argument order).  A flag is an int, or a str where its default is
+# one; a default of None makes it required.
+GENERATORS = {
+    "grid": (gen_grid, {"d": 2, "side": 4}),
+    "random": (gen_random, {"d": 2, "n": 10, "coord-bound": 10**6, "seed": 0}),
+    "parallel-lines": (gen_parallel_lines, {"d": 2, "n": 10}),
+    "sphere2d": (gen_sphere2d, {"n": 10}),
+    "collinear": (gen_collinear, {"n": 10, "noise": 0, "seed": 0}),
+    "cocircular": (gen_cocircular_plus_noise, {"n-circle": 8, "n-noise": 0, "seed": 0}),
+}
+BOUNDS = {
+    "g": (g_upper, {"k": None, "m": None, "t": None}),
+    "H-simplex": (H_simplex_upper, {"d": None, "t": None}),
+    "h-simplex": (h_simplex_lower, {"d": None, "n": None}),
+    "h-general": (h_general_lower, {"a": None, "d": None, "n": None, "c": "1"}),
+    "H-rec": (H_general_recurrence, {"a": None, "d": None, "t": None, "j": None, "base": 1}),
+    "as": (as_upper, {"k": None, "m": None, "n": None, "s": None}),
+    "expected": (expected_conflict_bound, {"n": None, "k": None, "m": None, "t": None}),
+}
 
 
 def _read_pointset(path):
@@ -57,32 +87,16 @@ def _config_echo(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+def _call(table, name, args):
+    fn, flags = table[name]
+    return fn(*(getattr(args, flag.replace("-", "_")) for flag in flags))
+
+
 # ---------------------------------------------------------------------------
 # verb handlers
 
 def _cmd_gen(args, out):
-    if args.kind == "grid":
-        kind, params = "grid", {"d": args.d, "side": args.side}
-    elif args.kind == "random":
-        kind, params = "random", {
-            "d": args.d,
-            "n": args.n,
-            "coord_bound": args.coord_bound,
-            "seed": args.seed,
-        }
-    elif args.kind == "parallel-lines":
-        kind, params = "parallel_lines", {"d": args.d, "n": args.n}
-    elif args.kind == "sphere2d":
-        kind, params = "sphere2d", {"n": args.n}
-    elif args.kind == "collinear":
-        kind, params = "collinear", {"n_line": args.n, "n_noise": args.noise, "seed": args.seed}
-    else:
-        kind, params = "cocircular_plus_noise", {
-            "n_circle": args.n_circle,
-            "n_noise": args.n_noise,
-            "seed": args.seed,
-        }
-    out.write(format_pointset(GenSpec(kind, params).build()))
+    out.write(format_pointset(_call(GENERATORS, args.kind, args)))
     return 0
 
 
@@ -175,55 +189,24 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_bounds(args, out):
-    formula = args.formula
-    try:
-        if formula == "g":
-            value = g_upper(args.k, args.m, args.t)
-        elif formula == "H-simplex":
-            value = H_simplex_upper(args.d, args.t)
-        elif formula == "h-simplex":
-            value = h_simplex_lower(args.d, args.n)
-        elif formula == "h-general":
-            value = h_general_lower(args.a, args.d, args.n, args.c)
-        elif formula == "H-rec":
-            value = H_general_recurrence(args.a, args.d, args.t, args.j, args.base)
-        elif formula == "as":
-            value = as_upper(args.k, args.m, args.n, args.s)
-        elif formula == "expected":
-            value = expected_conflict_bound(args.n, args.k, args.m, args.t)
-        else:
-            print(f"bounds: unknown formula {formula!r}", file=sys.stderr)
-            return 2
-    except TypeError:
-        print(f"bounds: missing flags for formula {formula!r}", file=sys.stderr)
-        return 2
+    value = _call(BOUNDS, args.formula, args)
     if args.format == "json":
-        _emit_json({"formula": formula, "value": str(value)}, args, out)
+        _emit_json({"formula": args.formula, "value": str(value)}, args, out)
     else:
         out.write(f"{value}\n")
     return 0
 
 
 BENCH_SUITES = {
-    "grids-2d": [
-        ("grid-3", GenSpec("grid", {"d": 2, "side": 3})),
-        ("grid-4", GenSpec("grid", {"d": 2, "side": 4})),
-        ("grid-6", GenSpec("grid", {"d": 2, "side": 6})),
-        ("grid-8", GenSpec("grid", {"d": 2, "side": 8})),
-        ("grid-10", GenSpec("grid", {"d": 2, "side": 10})),
-    ],
+    "grids-2d": [(f"grid-{side}", partial(gen_grid, 2, side)) for side in (3, 4, 6, 8, 10)],
     "random-2d": [
-        ("random-50", GenSpec("random", {"d": 2, "n": 50, "coord_bound": 10**6, "seed": 1})),
-        ("random-100", GenSpec("random", {"d": 2, "n": 100, "coord_bound": 10**6, "seed": 2})),
-        ("random-200", GenSpec("random", {"d": 2, "n": 200, "coord_bound": 10**6, "seed": 3})),
+        (f"random-{n}", partial(gen_random, 2, n, 10**6, seed))
+        for n, seed in ((50, 1), (100, 2), (200, 3))
     ],
 }
 
 
 def _cmd_bench(args, out):
-    if args.suite not in BENCH_SUITES:
-        print(f"bench: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         [
@@ -240,8 +223,8 @@ def _cmd_bench(args, out):
         ]
     )
     rows = BENCH_SUITES[args.suite][: max(args.budget, 0)]
-    for name, spec in rows:
-        pset = spec.build()
+    for name, build in rows:
+        pset = build()
         started = time.perf_counter()
         coloring = build_coloring(pset, 2)
         distinct = len({raw for _, raw in coloring.raw_items() if raw})
@@ -266,7 +249,23 @@ def _cmd_bench(args, out):
 # ---------------------------------------------------------------------------
 # parser plumbing
 
+def _add_table(parser, dest, table, parents=()):
+    """One sub-parser per table entry, taking only the flags its function reads."""
+    entries = parser.add_subparsers(dest=dest, required=True)
+    for name, (_, flags) in table.items():
+        p = entries.add_parser(name, parents=parents)
+        for flag, default in flags.items():
+            p.add_argument(
+                f"--{flag}",
+                type=str if isinstance(default, str) else int,
+                default=default,
+                required=default is None,
+            )
+
+
+@cache
 def build_parser():
+    """The CLI's parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="dvsubset",
         description="Find point subsets whose simplex volumes are pairwise distinct.",
@@ -279,18 +278,7 @@ def build_parser():
             p.add_argument("--pretty", action="store_true")
 
     g = sub.add_parser("gen", help="emit a generated point set")
-    g.add_argument(
-        "kind",
-        choices=("grid", "random", "parallel-lines", "sphere2d", "collinear", "cocircular"),
-    )
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--side", type=int, default=4)
-    g.add_argument("--n", type=int, default=10)
-    g.add_argument("--coord-bound", type=int, default=10**6)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--noise", type=int, default=0)
-    g.add_argument("--n-circle", type=int, default=8)
-    g.add_argument("--n-noise", type=int, default=0)
+    _add_table(g, "kind", GENERATORS)
 
     c = sub.add_parser("color", help="dump the full edge coloring as CSV")
     c.add_argument("--a", type=int, required=True)
@@ -325,23 +313,11 @@ def build_parser():
     o.add_argument("--max-n", type=int, default=None)
     common(o)
 
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--pretty", action="store_true")
     b = sub.add_parser("bounds", help="closed-form bound values")
-    b.add_argument(
-        "formula",
-        choices=("g", "H-simplex", "h-simplex", "h-general", "H-rec", "as", "expected"),
-    )
-    b.add_argument("--k", type=int, default=None)
-    b.add_argument("--m", type=int, default=None)
-    b.add_argument("--t", type=int, default=None)
-    b.add_argument("--d", type=int, default=None)
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--s", type=int, default=None)
-    b.add_argument("--a", type=int, default=None)
-    b.add_argument("--j", type=int, default=None)
-    b.add_argument("--c", type=str, default="1")
-    b.add_argument("--base", type=int, default=1)
-    b.add_argument("--format", choices=("text", "json"), default="text")
-    b.add_argument("--pretty", action="store_true")
+    _add_table(b, "formula", BOUNDS, [output])
 
     be = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
     be.add_argument("--suite", choices=tuple(BENCH_SUITES), default="grids-2d")

@@ -211,9 +211,7 @@ def _split_by_hyperplane(pset, anchor, candidates):
 
 
 def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
-    """FindResult for a subset that passes verify_subset."""
-    if not verify_subset(pset, subset, req.a, req.variant).valid:
-        raise RuntimeError("internal error: search produced an invalid subset")
+    """FindResult for a subset that find_subset then verifies."""
     stats = {
         "n": len(pset),
         "a": req.a,
@@ -348,7 +346,13 @@ def find_subset(pset, req):
         raise ValueError("m must be >= 1")
     if req.recursion_depth_cap is None:
         req = replace(req, recursion_depth_cap=d)
-    return _run(pset, req)
+    result = _run(pset, req)
+    # verified once, on the input set; a recursion's answer is not checked on its child set
+    if isinstance(result, FindResult) and not verify_subset(
+        pset, result.subset, a, req.variant
+    ).valid:
+        raise RuntimeError("internal error: search produced an invalid subset")
+    return result
 
 
 # ---------------------------------------------------------------------------

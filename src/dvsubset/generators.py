@@ -6,7 +6,6 @@ the same seed rebuilds the same set on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -131,23 +130,3 @@ def gen_collinear(n_line, n_noise=0, seed=0, coord_bound=10**6):
         rows.append(tup)
     return PointSet(2, rows)
 
-
-@dataclass
-class GenSpec:
-    """Declarative generator request, the CLI's and bench suites' currency."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def build(self):
-        makers = {
-            "grid": gen_grid,
-            "random": gen_random,
-            "parallel_lines": gen_parallel_lines,
-            "sphere2d": gen_sphere2d,
-            "collinear": gen_collinear,
-            "cocircular_plus_noise": gen_cocircular_plus_noise,
-        }
-        if self.kind not in makers:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        return makers[self.kind](**self.params)

@@ -89,7 +89,9 @@ class PointSet:
         """(lcms, columns): axis j cleared by the lcm of its own denominators,
         columns[j][i] == coords(i)[j] * lcms[j], exactly."""
         if self._axis_columns is None:
-            cleared = [_cleared([col]) for col in zip(*(p.coords for p in self.points))]
+            cleared = [
+                _cleared([[p.coords[j] for p in self.points]]) for j in range(self.dimension)
+            ]
             self._axis_columns = [s for s, _ in cleared], [col for _, (col,) in cleared]
         return self._axis_columns
 

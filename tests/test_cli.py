@@ -1,12 +1,15 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dvsubset.cli import run
+from dvsubset.cli import BOUNDS, GENERATORS, build_parser, run
 from dvsubset.geometry import parse_pointset
 
 SQUARE_TEXT = "2 4\n0 0\n1 0\n0 1\n1 1\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(argv):
@@ -54,6 +57,59 @@ def test_gen_all_kinds_parse():
         code, text = invoke(argv)
         assert code == 0, argv
         parse_pointset(text)
+
+
+TABLE_ENTRIES = [("gen", GENERATORS, kind) for kind in GENERATORS] + [
+    ("bounds", BOUNDS, formula) for formula in BOUNDS
+]
+
+
+@pytest.mark.parametrize(
+    "verb,table,name", TABLE_ENTRIES, ids=[f"{v}-{n}" for v, _, n in TABLE_ENTRIES]
+)
+def test_flags_the_entry_does_not_read_exit_2(verb, table, name, capsys):
+    own = table[name][1]
+    required = [arg for flag, d in own.items() if d is None for arg in (f"--{flag}", "3")]
+    build_parser().parse_args([verb, name, *required])  # the entry's own flags parse
+    unread = {flag for _, flags in table.values() for flag in flags} - set(own)
+    assert unread
+    for flag in sorted(unread):
+        assert invoke([verb, name, *required, f"--{flag}", "1"]) == (2, ""), flag
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
+def test_flags_before_the_kind_exit_2():
+    assert invoke(["gen", "--d", "3", "grid"]) == (2, "")
+    assert invoke(["bounds", "--k", "2", "g", "--m", "1", "--t", "3"]) == (2, "")
+
+
+def test_readme_commands_parse():
+    commands = [
+        line.split("#")[0]
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("dvsubset ")
+    ]
+    assert len(commands) >= 8
+    for command in commands:
+        for segment in command.split("|"):
+            words = shlex.split(segment)
+            if ">" in words:
+                words = words[: words.index(">")]
+            assert words[0] == "dvsubset", command
+            try:
+                build_parser().parse_args(words[1:])
+            except SystemExit as exc:
+                pytest.fail(f"README command does not parse ({exc.code}): {segment.strip()}")
+
+
+def test_readme_lists_every_flag_and_default():
+    rows = README.read_text(encoding="utf-8").splitlines()
+    for table in (GENERATORS, BOUNDS):
+        for name, (_, flags) in table.items():
+            words = [f"--{flag}" if d is None else f"--{flag} {d}" for flag, d in flags.items()]
+            row = f"| `{name}` | `{' '.join(words)}`"
+            assert any(line.startswith(row) for line in rows), row
 
 
 def test_gen_deterministic():
@@ -104,6 +160,14 @@ def test_text_and_csv_verbs_have_no_pretty(square_file):
         ["bench", "--budget", "0", "--pretty"],
     ):
         assert invoke(argv) == (2, ""), argv
+
+
+def test_empty_set_exits_2(monkeypatch, capsys):
+    for verb in ("goodness", "color"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2 0\n"))
+        assert invoke([verb, "--a", "2"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"dvsubset {verb}: need at least a=2 points, got 0\n"
 
 
 def test_goodness_pretty_is_same_payload(square_file):

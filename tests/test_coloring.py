@@ -137,6 +137,17 @@ def test_build_validation():
         build_coloring(PointSet(2, SQUARE[:2]), 3)  # n < a
 
 
+def test_empty_set_reaches_the_point_count_check():
+    # one column per axis even for zero points, so the constructor builds and
+    # build_coloring gives its own error instead of an IndexError
+    empty = PointSet(2, [])
+    assert empty.axis_columns == ([1, 1], [(), ()])
+    for a in (2, 3):
+        assert len(Coloring(a, empty)) == 0
+        with pytest.raises(ValueError, match=f"need at least a={a} points, got 0"):
+            build_coloring(empty, a)
+
+
 def test_coloring_checks_a():
     # the constructor itself, not only build_coloring: on planar points a=4
     # once reported m=1 behind a zero-color witness

@@ -146,6 +146,14 @@ def test_general_position_check():
     assert not ok and witness == (0, 1, 2)
 
 
+def test_empty_set_has_no_edges():
+    empty = PointSet(2, [])
+    for a in (2, 3):
+        assert general_position_check(empty, a) == (True, None)
+        assert greedy_augment(empty, [], a) == []
+        assert greedy_augment(empty, [], a, "h_prime") == []
+
+
 # ------------------------------------------------------------------- auto mode
 
 
@@ -293,6 +301,24 @@ def test_sphere_locus_recursion():
         assert squared_volume([center, ps.coords(v)]) == 1
     assert res.stats["m_budget"] == 3
     assert "child_stats" in res.stats
+
+
+def test_sphere_recursion_answer_is_verified_once(monkeypatch):
+    # the child's answer is verified on the input set only, not first on the
+    # child set as well
+    calls = []
+    check = finder.verify_subset
+
+    def counted(pset, subset, *rest):
+        calls.append((len(pset), list(subset)))
+        return check(pset, subset, *rest)
+
+    monkeypatch.setattr(finder, "verify_subset", counted)
+    pset = load_pointset(GOLDEN / "cocircular.txt")
+    req = FindRequest(a=2, mode="locus_recursion", m=3, t_override=6, seed=4)
+    res = find_subset(pset, req)
+    assert [entry["locus"] for entry in res.recursion_trace] == ["sphere"]
+    assert calls == [(len(pset), res.subset)]
 
 
 def test_depth_cap_blocks_recursion():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from dvsubset.generators import (
-    GenSpec,
     circle_point,
     gen_cocircular_plus_noise,
     gen_collinear,
@@ -172,18 +171,6 @@ def test_collinear_layout():
 def test_collinear_validation():
     with pytest.raises(ValueError):
         gen_collinear(1)
-
-
-# -------------------------------------------------------------------- GenSpec
-
-
-def test_genspec_dispatch():
-    ps = GenSpec("grid", {"d": 2, "side": 2}).build()
-    assert len(ps) == 4
-    ps = GenSpec("random", {"d": 1, "n": 3, "coord_bound": 9, "seed": 0}).build()
-    assert len(ps) == 3
-    with pytest.raises(ValueError):
-        GenSpec("mystery").build()
 
 
 def test_generators_are_deterministic():
