@@ -63,8 +63,8 @@ def h_simplex_lower(d, n):
 def h_general_lower(a, d, n, c):
     """floor(c * n^(1/((2a-1)d))) for rational c >= 0, computed exactly.
 
-    The answer is the largest integer q with (q*den)^e <= n*num^e where
-    c = num/den and e = (2a-1)d; binary search keeps everything integral.
+    With c = num/den and e = (2a-1)d, q <= c * n^(1/e) exactly when
+    q*den <= floor((n*num^e)^(1/e)), so one integer root gives the answer.
     """
     if a < 2 or d < 1 or n < 1:
         raise ValueError("need a >= 2, d >= 1, n >= 1")
@@ -74,20 +74,8 @@ def h_general_lower(a, d, n, c):
         raise ValueError(f"c={c} has a zero denominator") from None
     if c < 0:
         raise ValueError("c must be >= 0")
-    if c == 0:
-        return 0
     e = (2 * a - 1) * d
-    num, den = c.numerator, c.denominator
-    target = n * num**e
-    hi = (num * (int_nth_root(n, e) + 1)) // den + 2
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (mid * den) ** e <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return int_nth_root(n * c.numerator**e, e) // c.denominator
 
 
 def H_general_recurrence(a, d, t, j, base=1):

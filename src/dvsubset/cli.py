@@ -151,9 +151,9 @@ def _cmd_find(args, out):
 
 def _cmd_verify(args, out):
     pset = _read_pointset(args.input)
-    if args.subset:
+    if args.from_json is None:
         ids = [int(x) for x in args.subset.split(",") if x != ""]
-    elif args.from_json:
+    else:
         with open(args.from_json, "r", encoding="utf-8") as fh:
             found = json.load(fh)
         ids = found.get("subset") if isinstance(found, dict) else None
@@ -163,9 +163,6 @@ def _cmd_verify(args, out):
                 file=sys.stderr,
             )
             return 2
-    else:
-        print("verify: need --subset or --from-json", file=sys.stderr)
-        return 2
     report = verify_subset(pset, ids, args.a, VARIANT_NAMES[args.variant])
     payload = report.to_json()
     payload["subset"] = list(ids)
@@ -249,11 +246,22 @@ def _cmd_bench(args, out):
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _add_table(parser, dest, table, parents=()):
-    """One sub-parser per table entry, taking only the flags its function reads."""
+class _FlagBeforeName(argparse.Action):
+    """A gen or bounds flag given before the kind or formula, which metavar names."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"flags follow the {self.metavar}: put {option_string} after it")
+
+
+def _add_table(parser, dest, table, shared):
+    """One sub-parser per table entry, taking the `shared` {flag: keywords}
+    and only the flags its function reads; any of these flags given before
+    the entry's name is a usage error that says so."""
     entries = parser.add_subparsers(dest=dest, required=True)
     for name, (_, flags) in table.items():
-        p = entries.add_parser(name, parents=parents)
+        p = entries.add_parser(name)
+        for flag, keywords in shared.items():
+            p.add_argument(f"--{flag}", **keywords)
         for flag, default in flags.items():
             p.add_argument(
                 f"--{flag}",
@@ -261,6 +269,11 @@ def _add_table(parser, dest, table, parents=()):
                 default=default,
                 required=default is None,
             )
+    for flag in sorted({flag for _, flags in table.values() for flag in flags} | set(shared)):
+        parser.add_argument(
+            f"--{flag}", nargs="?", action=_FlagBeforeName, metavar=dest,
+            default=argparse.SUPPRESS, help=argparse.SUPPRESS,
+        )
 
 
 @cache
@@ -278,7 +291,7 @@ def build_parser():
             p.add_argument("--pretty", action="store_true")
 
     g = sub.add_parser("gen", help="emit a generated point set")
-    _add_table(g, "kind", GENERATORS)
+    _add_table(g, "kind", GENERATORS, {})
 
     c = sub.add_parser("color", help="dump the full edge coloring as CSV")
     c.add_argument("--a", type=int, required=True)
@@ -303,8 +316,9 @@ def build_parser():
     v = sub.add_parser("verify", help="check a subset for distinct volumes")
     v.add_argument("--a", type=int, required=True)
     v.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="h")
-    v.add_argument("--subset", type=str, default=None, help="comma-separated ids")
-    v.add_argument("--from-json", type=str, default=None, help="find output file")
+    ids = v.add_mutually_exclusive_group(required=True)
+    ids.add_argument("--subset", type=str, help="comma-separated ids")
+    ids.add_argument("--from-json", type=str, help="find output file")
     common(v)
 
     o = sub.add_parser("oracle", help="exhaustive maximum subset (small n only)")
@@ -313,11 +327,12 @@ def build_parser():
     o.add_argument("--max-n", type=int, default=None)
     common(o)
 
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
-    output.add_argument("--pretty", action="store_true")
+    output = {
+        "format": {"choices": ("text", "json"), "default": "text"},
+        "pretty": {"action": "store_true"},
+    }
     b = sub.add_parser("bounds", help="closed-form bound values")
-    _add_table(b, "formula", BOUNDS, [output])
+    _add_table(b, "formula", BOUNDS, output)
 
     be = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
     be.add_argument("--suite", choices=tuple(BENCH_SUITES), default="grids-2d")

@@ -280,30 +280,50 @@ def color_class(coloring, tuple_ids, key):
     ]
 
 
+def distinct_raws(seen, raws, no_zeros):
+    """The zero count of raws when its nonzero values repeat neither each
+    other nor a value in `seen`, which then gains them; else None, as at any
+    zero under no_zeros.  A repeat shows as `seen` growing by too little."""
+    nonzero = list(filter(None, raws))
+    zeros = len(raws) - len(nonzero)
+    if zeros and no_zeros:
+        return None
+    size = len(seen)
+    seen.update(nonzero)
+    return zeros if len(seen) - size == len(nonzero) else None
+
+
 def distinct_zeros(coloring, ids=None, no_zeros=False, seen=None):
     """The number of zero edges inside ids (default all) when no nonzero raw
     repeats among them, else None; with no_zeros, None at the first zero
     edge too.
 
-    Reads the runs of `raw_items` without building an edge, and stops at the
-    first row that repeats a raw: the set of raws seen then grows by less
-    than the row's nonzero count.  `seen`, when given, collects the nonzero
-    raws read.
+    Reads the runs of `raw_items` without building an edge, one
+    `distinct_raws` per row, and stops at the first row that fails.
+    `seen`, when given, collects the nonzero raws read.
     """
     seen = set() if seen is None else seen
     zeros = 0
     for anchor, rest in coloring._runs(ids):
-        row = coloring.row(anchor, rest)
-        nonzero = list(filter(None, row))
-        if len(nonzero) < len(row):
-            if no_zeros:
-                return None
-            zeros += len(row) - len(nonzero)
-        size = len(seen)
-        seen.update(nonzero)
-        if len(seen) - size < len(nonzero):
+        row_zeros = distinct_raws(seen, coloring.row(anchor, rest), no_zeros)
+        if row_zeros is None:
             return None
+        zeros += row_zeros
     return zeros
+
+
+def repeated(coloring, ids):
+    """(zero edges, {raw: edges}) over the edges inside ids: each nonzero raw
+    on two or more edges, with its edges in combinations order, keyed in the
+    order of each raw's first edge."""
+    zeros = 0
+    groups = {}
+    for edge, raw in coloring.raw_items(ids):
+        if raw:
+            groups.setdefault(raw, []).append(edge)
+        else:
+            zeros += 1
+    return zeros, {raw: edges for raw, edges in groups.items() if len(edges) > 1}
 
 
 def _largest_class(coloring, anchors, cap=None):
@@ -353,8 +373,11 @@ def goodness(coloring, cap=None):
 
     With `cap` the scan stops at the first anchor, in lexicographic order,
     whose largest class exceeds cap.  observed_m is then that class's exact
-    size, which is > cap but need not be the global maximum.
+    size, which is > cap but need not be the global maximum.  A negative
+    cap is a ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     a = coloring.a
     rainbow = distinct_zeros(coloring) is not None
     anchors = combinations(range(len(coloring.pset)), a - 1)

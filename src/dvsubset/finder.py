@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
-from .coloring import Coloring, build_coloring, distinct_zeros, goodness
+from .coloring import Coloring, build_coloring, distinct_raws, distinct_zeros, goodness, repeated
 from .geometry import check_a, det_bareiss, squared_volume
 from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
 from .rng import derive_seed
@@ -120,8 +120,9 @@ def verify_subset(pset, subset, a, variant="h"):
     """Exact check of a candidate answer over all of its a-subsets.
 
     One scan stops at the first repeated volume (or, under h_prime, the
-    first degenerate edge); when it reads every edge the subset is valid.
-    Only a subset that fails is read again, to group its repeated volumes.
+    first degenerate edge); the subset is valid exactly when it reads every
+    edge.  Only a subset that fails is read again, to group its repeated
+    volumes.
     """
     ids = sorted(_checked_ids(pset, subset, a))
     if len(ids) < a:
@@ -132,16 +133,9 @@ def verify_subset(pset, subset, a, variant="h"):
     zero_edges = distinct_zeros(coloring, ids, variant == "h_prime")
     if zero_edges is not None:
         return VerifyReport(True, [], zero_edges)
-    first, repeats = {}, {}  # raw -> its first edge; raw -> all its edges, if it repeats
-    zero_edges = 0
-    for edge, raw in coloring.raw_items(ids):
-        if not raw:
-            zero_edges += 1
-        elif (head := first.setdefault(raw, edge)) is not edge:
-            repeats.setdefault(raw, [head]).append(edge)
-    duplicates = [(coloring.volume_key(raw), edges) for raw, edges in sorted(repeats.items())]
-    valid = not duplicates and (variant == "h" or zero_edges == 0)
-    return VerifyReport(valid, duplicates, zero_edges)
+    zero_edges, groups = repeated(coloring, ids)
+    duplicates = [(coloring.volume_key(raw), edges) for raw, edges in sorted(groups.items())]
+    return VerifyReport(False, duplicates, zero_edges)
 
 
 def general_position_check(pset, a):
@@ -170,23 +164,6 @@ def _target_t(n, m, a, t_override):
 def _level_budget(n, a):
     """Default per-level class budget: max(a, floor(n^((2a-2)/(2a-1)) / 4))."""
     return max(a, int_nth_root(n ** (2 * a - 2), 2 * a - 1) // 4)
-
-
-def _is_rainbow(raws, variant):
-    """True when no nonzero raw volume repeats and, under h_prime, none is zero.
-
-    Reads the values once, stopping at the first repeat.
-    """
-    seen = set()
-    for raw in raws:
-        if not raw:
-            if variant == "h_prime":
-                return False
-            continue
-        if raw in seen:
-            return False
-        seen.add(raw)
-    return True
 
 
 def _split_by_hyperplane(pset, anchor, candidates):
@@ -258,16 +235,13 @@ def _run(pset, req):
     report = goodness(coloring)
     m_obs = report.observed_m
     budget = None if req.mode == "auto" else req.m or _level_budget(n, a)
+    t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
     if report.rainbow:
         # no volume repeats; under h_prime the check above ruled out zeros
-        t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
         return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
-    if budget is None:
-        return _solve(pset, req, coloring, m_obs)
     witness = _solve(pset, req, coloring, m_obs, budget)
     if not isinstance(witness, BadEdgeWitness):
-        return witness  # a FindResult or an ExtractionFailure
-    t = _target_t(n, budget, a, req.t_override)
+        return witness  # a FindResult or an ExtractionFailure; always one without a budget
     if a == 2 and depth > 0:
         # sphere locus: every extension at one exact squared distance from the anchor
         center = pset[witness.tuple_ids[0]]
@@ -346,6 +320,8 @@ def find_subset(pset, req):
         raise ValueError("m must be >= 1")
     if req.recursion_depth_cap is None:
         req = replace(req, recursion_depth_cap=d)
+    elif req.recursion_depth_cap < 0:
+        raise ValueError("recursion_depth_cap must be >= 0")
     result = _run(pset, req)
     # verified once, on the input set; a recursion's answer is not checked on its child set
     if isinstance(result, FindResult) and not verify_subset(
@@ -362,8 +338,9 @@ def brute_force_max(pset, a, variant="h", max_points=None):
     """Lexicographically least maximum valid subset, by exhaustive search.
 
     Sizes are tried from n downward, candidates of one size in lexicographic
-    order, so the answer is deterministic.  Guarded to small n (default 12
-    for a=2, 10 for a=3, 9 otherwise) because the scan is exponential.
+    order, so the answer is deterministic; a size below a holds no a-subset
+    and always passes.  Guarded to small n (default 12 for a=2, 10 for a=3,
+    9 otherwise) because the scan is exponential.
     """
     n = len(pset)
     check_a(a, pset.dimension)
@@ -376,15 +353,12 @@ def brute_force_max(pset, a, variant="h", max_points=None):
     )
     if n > limit:
         raise ValueError(f"exhaustive search capped at {limit} points for a={a}")
-    if n < a:
-        return list(range(n))
     dets = dict(Coloring(a, pset).raw_items())
-    for size in range(n, a - 1, -1):
+    for size in range(n, -1, -1):
         for combo in combinations(range(n), size):
-            if _is_rainbow((dets[e] for e in combinations(combo, a)), variant):
+            raws = [dets[e] for e in combinations(combo, a)]
+            if distinct_raws(set(), raws, variant == "h_prime") is not None:
                 return list(combo)
-    # only reachable under h_prime when every single a-subset is degenerate
-    return list(range(min(n, a - 1)))
 
 
 def greedy_augment(pset, subset, a, variant="h"):
@@ -408,9 +382,10 @@ def greedy_augment(pset, subset, a, variant="h"):
     for v in range(len(pset)):
         if v in chosen:
             continue
-        fresh = [row[v] for row in rows]  # v's edges into the chosen set
-        if _is_rainbow(fresh, variant) and seen.isdisjoint(fresh):
+        fresh = set()  # the nonzero raws of v's edges into the chosen set
+        raws = [row[v] for row in rows]
+        if distinct_raws(fresh, raws, variant == "h_prime") is not None and seen.isdisjoint(fresh):
             rows += [coloring.row(anchor + (v,)) for anchor in combinations(chosen, a - 2)]
-            seen.update(filter(None, fresh))
+            seen |= fresh
             chosen.append(v)
     return sorted(chosen)

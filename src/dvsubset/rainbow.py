@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .coloring import ColorKey, _largest_class
+from .coloring import ColorKey, _largest_class, distinct_zeros, repeated
 from .rng import SplitMix64, derive_seed
 
 
@@ -109,16 +109,9 @@ def as_upper(k, m, n, s):
 
 def _conflicts_within(coloring, ids):
     """All unordered pairs of same-colored edges inside ids, with per-s tallies."""
-    a = coloring.a
-    groups = {}
-    for edge, raw in coloring.raw_items(ids):
-        if raw:
-            groups.setdefault(raw, []).append(edge)
     pairs = []
-    per_s = [0] * a
-    for edges in groups.values():
-        if len(edges) < 2:
-            continue
+    per_s = [0] * coloring.a
+    for edges in repeated(coloring, ids)[1].values():
         for e1, e2 in combinations(edges, 2):
             s = len(set(e1) & set(e2))
             pairs.append((e1, e2, s))
@@ -202,8 +195,7 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False, first=0):
         stats = ConflictStats(ids, pairs, per_s)
         if len(pairs) <= accept:
             subset = _delete_conflicts(ids, pairs)
-            leftover, _ = _conflicts_within(coloring, subset)
-            assert not leftover, "deletion left a same-colored edge pair"
+            assert distinct_zeros(coloring, subset) is not None, "deletion left a repeated volume"
             assert len(subset) >= t
             return RainbowResult(subset, attempt, seed, len(pairs))
         if best is None or len(pairs) < len(best.pairs):

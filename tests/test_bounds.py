@@ -10,6 +10,7 @@ from dvsubset.bounds import (
     h_simplex_lower,
     int_nth_root,
 )
+from dvsubset.rng import SplitMix64
 
 
 # -------------------------------------------------------------- integer roots
@@ -103,22 +104,24 @@ def test_monotonicity():
 
 
 def test_h_general_is_exact_floor():
-    # the direct definition: largest q with (q*den)^e <= n*num^e
+    # the direct definition: largest q with (q*den)^e <= n*num^e, on a seeded
+    # grid of (a, d, c) against n = 1, small n and huge n
     from fractions import Fraction
 
-    cases = [
-        (2, 1, 7, 2),  # c > 1 with an irrational root: floor(2 * 7^(1/3)) = 3
-        (2, 2, 4096, Fraction(1, 2)),
-        (3, 2, 10**9, Fraction(3, 7)),
-        (2, 1, 1, 5),
-    ]
+    rng = SplitMix64(17)
+    ns = [1, 2, 7, 4096, 10**9, 10**30, 10**60 + 7]
+    cases = [(2, 1, 7, 2), (2, 1, 1, 5), (3, 2, 10**30, 0)]
+    for _ in range(60):
+        a, d = 2 + rng.below(3), 1 + rng.below(3)
+        c = Fraction(rng.below(50), 1 + rng.below(20))
+        cases += [(a, d, n, c) for n in ns]
     for a, d, n, c in cases:
         e = (2 * a - 1) * d
         q = h_general_lower(a, d, n, c)
         cf = Fraction(c)
         assert (q * cf.denominator) ** e <= n * cf.numerator**e
         assert ((q + 1) * cf.denominator) ** e > n * cf.numerator**e
-    assert h_general_lower(2, 1, 7, 2) == 3
+    assert h_general_lower(2, 1, 7, 2) == 3  # floor(2 * 7^(1/3))
 
 
 def test_round_trip_guarantee():

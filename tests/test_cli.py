@@ -79,9 +79,19 @@ def test_flags_the_entry_does_not_read_exit_2(verb, table, name, capsys):
         assert "error:" in err and "Traceback" not in err
 
 
-def test_flags_before_the_kind_exit_2():
-    assert invoke(["gen", "--d", "3", "grid"]) == (2, "")
-    assert invoke(["bounds", "--k", "2", "g", "--m", "1", "--t", "3"]) == (2, "")
+def test_flags_before_the_kind_exit_2(capsys):
+    # the message names the misplaced flag, not its value as a bad name
+    for argv, flag, name in (
+        (["gen", "--d", "3", "grid"], "--d", "kind"),
+        (["gen", "--seed=2", "random"], "--seed", "kind"),
+        (["bounds", "--k", "2", "g", "--m", "1", "--t", "3"], "--k", "formula"),
+        (["bounds", "--format", "json", "g", "--k", "2", "--m", "1", "--t", "3"], "--format", "formula"),
+        (["bounds", "--pretty", "g", "--k", "2", "--m", "1", "--t", "3"], "--pretty", "formula"),
+    ):
+        assert invoke(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert f"error: flags follow the {name}: put {flag} after it" in err, argv
+        assert "invalid choice" not in err and "Traceback" not in err
 
 
 def test_readme_commands_parse():
@@ -168,6 +178,16 @@ def test_empty_set_exits_2(monkeypatch, capsys):
         assert invoke([verb, "--a", "2"]) == (2, "")
         err = capsys.readouterr().err
         assert err == f"dvsubset {verb}: need at least a=2 points, got 0\n"
+
+
+def test_negative_depth_and_cap_exit_2(square_file, capsys):
+    for argv in (
+        ["find", square_file, "--a", "2", "--depth", "-3"],
+        ["goodness", square_file, "--a", "2", "--cap", "-1"],
+    ):
+        assert invoke(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"dvsubset {argv[0]}: ") and "Traceback" not in err
 
 
 def test_goodness_pretty_is_same_payload(square_file):
@@ -272,9 +292,13 @@ def test_verify_from_json_without_subset_exits_2(square_file, tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_verify_needs_a_subset_source(square_file):
-    code, _ = invoke(["verify", square_file, "--a", "2"])
-    assert code == 2
+def test_verify_needs_a_subset_source(square_file, capsys):
+    # exactly one source: neither, or both, is a usage error before any file
+    # is opened
+    for extra in ([], ["--subset", "0,1", "--from-json", "/nonexistent"]):
+        assert invoke(["verify", square_file, "--a", "2", *extra]) == (2, ""), extra
+        err = capsys.readouterr().err
+        assert "error:" in err and "--from-json" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------- oracle

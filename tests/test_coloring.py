@@ -12,8 +12,10 @@ from dvsubset.coloring import (
     Coloring,
     build_coloring,
     color_class,
+    distinct_raws,
     distinct_zeros,
     goodness,
+    repeated,
     write_coloring_csv,
 )
 from dvsubset.generators import (
@@ -430,12 +432,54 @@ def test_distinct_scan_matches_census():
             for ids in id_lists:
                 for variant in ("h", "h_prime"):
                     got = distinct_zeros(coloring, ids, variant == "h_prime")
-                    valid, _, zeros = census_verify(coords, a, ids, variant)
+                    valid, groups, zeros = census_verify(coords, a, ids, variant)
                     assert got == (zeros if valid else None), (name, a, ids, variant)
                     verdicts.add((name, got is not None))
+                # the grouping pass: the census's groups, keyed by first edge
+                got_zeros, by_raw = repeated(coloring, sorted(ids))
+                assert got_zeros == zeros
+                firsts = [edges[0] for edges in by_raw.values()]
+                assert firsts == sorted(firsts)
+                got_groups = [(coloring.volume_key(r).value, e) for r, e in sorted(by_raw.items())]
+                assert got_groups == groups, (name, a, ids)
     names = {name for name, _ in scan_sets()}
     assert {name for name, ok in verdicts if ok} == names
     assert {name for name, ok in verdicts if not ok} == names - {"mixed"}
+
+
+def test_distinct_raws_matches_a_naive_reference():
+    # short lists over a small alphabet, so that a nonzero value repeats
+    # within the list, repeats one in seen, or neither, with and without zeros
+    rng = SplitMix64(11)
+    kinds = Counter()
+    for _ in range(500):
+        raws = [rng.below(5) for _ in range(rng.below(6))]
+        seen = {1 + rng.below(4) for _ in range(rng.below(3))}
+        nonzero = [r for r in raws if r]
+        within = len(set(nonzero)) < len(nonzero)
+        against = not seen.isdisjoint(nonzero)
+        for no_zeros in (False, True):
+            ok = not (within or against or (no_zeros and 0 in raws))
+            grown = set(seen)
+            got = distinct_raws(grown, raws, no_zeros)
+            assert got == (raws.count(0) if ok else None), (raws, seen, no_zeros)
+            if ok:
+                assert grown == seen | set(nonzero)
+            kinds[within, against, 0 in raws, no_zeros, ok] += 1
+    # every cause of None occurs alone, and zeros pass without no_zeros
+    for kind in (
+        (True, False, False, False, False),
+        (False, True, False, False, False),
+        (False, False, True, True, False),
+        (False, False, True, False, True),
+        (False, False, False, False, True),
+    ):
+        assert kinds[kind], kind
+
+
+def test_goodness_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        goodness(coloring_of(SQUARE, 2), cap=-1)
 
 
 def test_goodness_is_rainbow_exactly_when_the_scan_passes():

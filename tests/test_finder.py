@@ -23,7 +23,7 @@ from dvsubset.finder import (
 from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
 from dvsubset.geometry import PointSet, det_laplace, load_pointset, squared_volume
 from dvsubset.rainbow import ExtractionFailure
-from dvsubset.rng import SplitMix64
+from dvsubset.rng import SplitMix64, derive_seed
 
 from helpers import census_verify, first_fit_growth, slow_max_distinct
 
@@ -321,6 +321,50 @@ def test_sphere_recursion_answer_is_verified_once(monkeypatch):
     assert calls == [(len(pset), res.subset)]
 
 
+def unit_circle(k):
+    """k distinct rational points on the unit circle: the powers of the
+    rotation with cosine 3/5 and sine 4/5, so a chord's length depends only
+    on the difference of its two powers."""
+    points, c, s = [], F(1), F(0)
+    for _ in range(k):
+        points.append((c, s))
+        c, s = c * F(3, 5) - s * F(4, 5), c * F(4, 5) + s * F(3, 5)
+    return points
+
+
+def test_two_level_sphere_trace_maps_to_parent_ids():
+    # the origin, the north pole and 107 points of the circle z = 3/5 of the
+    # unit sphere: the circle lies at squared distance 4/5 from the pole, so
+    # the origin's sphere is the pole and the circle, and the pole's is the
+    # circle; both trace entries name ids of the input set
+    circle = [(F(4, 5) * x, F(4, 5) * y, F(3, 5)) for x, y in unit_circle(107)]
+    ps = PointSet(3, [(0, 0, 0), (0, 0, 1)] + circle)
+    req = FindRequest(a=2, mode="fixed_m", m=1, seed=24, recursion_depth_cap=2)
+    res = find_subset(ps, req)
+    assert isinstance(res, FindResult)
+    assert res.recursion_trace == [
+        {"locus": "sphere", "ids": list(range(1, 109))},
+        {"locus": "sphere", "ids": list(range(2, 109))},
+    ]
+    assert res.subset == [2, 3]
+    child = res.stats["child_stats"]
+    assert (child["n"], child["child_stats"]["n"]) == (108, 107)
+
+
+def test_child_extraction_failure_is_returned():
+    # the origin's sphere is a 216-point circle whose classes hold at most two
+    # edges, so m=2 extracts on it unwatched; its one attempt draws six ids
+    # with five same-length chord pairs, more than t=3, and that failure is
+    # the answer
+    ps = PointSet(2, [(0, 0)] + unit_circle(216))
+    req = FindRequest(a=2, mode="fixed_m", m=2, seed=64, t_override=50, max_retries=1)
+    res = find_subset(ps, req)
+    assert isinstance(res, ExtractionFailure)
+    assert res.seeds_tried == [derive_seed(derive_seed(64, 216), 0)]
+    assert res.best_stats.sample == [3, 31, 78, 85, 113, 195]  # ids of the circle
+    assert res.best_stats.count == 5
+
+
 def test_depth_cap_blocks_recursion():
     ps = gen_cocircular_plus_noise(8, 4, seed=2)
     res = find_subset(
@@ -433,6 +477,8 @@ def test_request_validation():
         find_subset(SQUARE, FindRequest(a=2, t_override=0))
     with pytest.raises(ValueError):
         find_subset(SQUARE, FindRequest(a=2, m=0))
+    with pytest.raises(ValueError, match="recursion_depth_cap"):
+        find_subset(SQUARE, FindRequest(a=2, recursion_depth_cap=-1))
 
 
 # ------------------------------------------------------------ exhaustive oracle
@@ -468,6 +514,13 @@ def test_brute_force_h_prime_on_degenerate_input():
     ps = PointSet(2, [(0, 0), (1, 0), (2, 0), (3, 0)])
     assert brute_force_max(ps, 3, variant="h_prime") == [0, 1]
     assert brute_force_max(ps, 3, variant="h") == [0, 1, 2, 3]
+
+
+def test_brute_force_below_a_points_is_the_whole_set():
+    for n in range(3):
+        ps = SQUARE.subset(range(n))
+        for variant in ("h", "h_prime"):
+            assert brute_force_max(ps, 3, variant) == list(range(n))
 
 
 def test_brute_force_guard():
