@@ -9,6 +9,7 @@ Run: python3 demos/01_volume_census.py
 
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 from dvsubset import (
     PointSet,
@@ -38,7 +39,7 @@ print()
 print("distance coloring of the 3x3 grid")
 grid = gen_grid(2, 3)
 coloring = build_coloring(grid, 2)
-census = Counter(key.volume() for key in coloring.colors.values())
+census = Counter(coloring.color_of(e).volume() for e in combinations(range(len(grid)), 2))
 for value in sorted(census):
     print(f"  squared distance {str(value):>2}  x{census[value]}")
 print(f"  {len(census)} distinct values over {len(coloring)} pairs")
@@ -53,5 +54,5 @@ print("  (the grid center and its four axis neighbors)")
 print()
 print("triangle coloring of the same grid (a=3) marks collinear triples")
 tri = build_coloring(grid, 3)
-zero = sum(1 for key in tri.colors.values() if not key.is_volume)
+zero = sum(1 for e in combinations(range(len(grid)), 3) if not tri.color_of(e).is_volume)
 print(f"  {zero} degenerate triples of {len(tri)}; each carries a unique color")

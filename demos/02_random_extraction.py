@@ -38,7 +38,7 @@ counts = [sample_conflicts(coloring, T, seed=s).count for s in range(10)]
 mean = sum(counts) / len(counts)
 print(f"observed over 10 sample draws: {counts} (mean {mean:.1f})")
 
-result = extract_rainbow(coloring, T, m, seed=SEED)
+result = extract_rainbow(coloring, T, seed=SEED)
 assert isinstance(result, RainbowResult)
 print(f"extraction: subset {result.subset} after {result.retries_used} retries,")
 print(f"  {result.conflicts_in_accepted_sample} conflicting pairs deleted from the sample")

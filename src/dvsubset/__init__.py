@@ -21,7 +21,6 @@ from .coloring import (
     Coloring,
     GoodnessReport,
     build_coloring,
-    color_class,
     goodness,
 )
 from .finder import (
@@ -90,7 +89,6 @@ __all__ = [
     "as_upper",
     "brute_force_max",
     "build_coloring",
-    "color_class",
     "expected_conflict_bound",
     "extract_rainbow",
     "find_bad_edge",

@@ -39,15 +39,13 @@ def g_upper(k, m, t):
 
 
 def H_simplex_upper(d, t):
-    """Point count 8*t^(2d+2) forcing t points in R^d with pairwise distinct
-    nonzero simplex volumes on d+1 vertices; equals g_upper(d+1, 2t, t)."""
+    """Point count g_upper(d+1, 2t, t) = 8*t^(2d+2) forcing t points in R^d
+    with pairwise distinct nonzero simplex volumes on d+1 vertices."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if t < d + 1:
         raise ValueError("t must be >= d+1")
-    value = 8 * t ** (2 * d + 2)
-    assert value == g_upper(d + 1, 2 * t, t)
-    return value
+    return g_upper(d + 1, 2 * t, t)
 
 
 def h_simplex_lower(d, n):

@@ -87,6 +87,14 @@ def _config_echo(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+def _id_list(text):
+    """verify's --subset: comma-separated integer ids, with no empty item."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated id list: {text!r}") from None
+
+
 def _call(table, name, args):
     fn, flags = table[name]
     return fn(*(getattr(args, flag.replace("-", "_")) for flag in flags))
@@ -152,7 +160,7 @@ def _cmd_find(args, out):
 def _cmd_verify(args, out):
     pset = _read_pointset(args.input)
     if args.from_json is None:
-        ids = [int(x) for x in args.subset.split(",") if x != ""]
+        ids = args.subset
     else:
         with open(args.from_json, "r", encoding="utf-8") as fh:
             found = json.load(fh)
@@ -204,6 +212,8 @@ BENCH_SUITES = {
 
 
 def _cmd_bench(args, out):
+    if args.budget < 0:
+        raise ValueError(f"budget must be >= 0, got {args.budget}")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         [
@@ -219,7 +229,7 @@ def _cmd_bench(args, out):
             "wall_time_s",
         ]
     )
-    rows = BENCH_SUITES[args.suite][: max(args.budget, 0)]
+    rows = BENCH_SUITES[args.suite][: args.budget]
     for name, build in rows:
         pset = build()
         started = time.perf_counter()
@@ -317,7 +327,7 @@ def build_parser():
     v.add_argument("--a", type=int, required=True)
     v.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="h")
     ids = v.add_mutually_exclusive_group(required=True)
-    ids.add_argument("--subset", type=str, help="comma-separated ids")
+    ids.add_argument("--subset", type=_id_list, help="comma-separated ids")
     ids.add_argument("--from-json", type=str, help="find output file")
     common(v)
 

@@ -27,7 +27,6 @@ what lets the h variant ignore them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -104,8 +103,7 @@ class Coloring:
     as the reference the rows are tested against.  Nothing is stored per
     edge; all values share the denominator `den`, `volume_key(raw)` is a
     value's color and `raw_of_volume(q)` maps a squared volume back to its
-    value.  The lazy `colors` mapping (edge -> ColorKey, in combinations
-    order) and `color_of(edge)` give output colors, for tests and small sets.
+    value.  `color_of(edge)` is one edge's output color, read through `raw`.
     """
 
     __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term")
@@ -216,34 +214,6 @@ class Coloring:
         raw = self.raw(key)
         return self.volume_key(raw) if raw else ColorKey.for_zero_edge(key)
 
-    @property
-    def colors(self):
-        return _ColorView(self)
-
-
-class _ColorView(Mapping):
-    """Read-only edge -> ColorKey view over a Coloring, keyed by sorted id tuples."""
-
-    __slots__ = ("_coloring",)
-
-    def __init__(self, coloring):
-        self._coloring = coloring
-
-    def __getitem__(self, edge):
-        try:
-            if tuple(sorted(edge)) == edge:
-                return self._coloring.color_of(edge)
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(edge)
-
-    def __iter__(self):
-        return combinations(range(len(self._coloring.pset)), self._coloring.a)
-
-    def __len__(self):
-        return len(self._coloring)
-
-
 def build_coloring(pset, a):
     """Color every a-subset of the point set by exact squared simplex volume.
 
@@ -255,29 +225,6 @@ def build_coloring(pset, a):
     if len(pset) < a:
         raise ValueError(f"need at least a={a} points, got {len(pset)}")
     return coloring
-
-
-def color_class(coloring, tuple_ids, key):
-    """Ids v outside tuple_ids with color(tuple_ids + v) == key, ascending."""
-    a = coloring.a
-    n = len(coloring.pset)
-    anchor = tuple(sorted(tuple_ids))
-    if len(anchor) != a - 1 or len(set(anchor)) != a - 1:
-        raise ValueError(f"tuple must be {a - 1} distinct ids")
-    if anchor and not (0 <= anchor[0] and anchor[-1] < n):
-        raise ValueError("tuple ids out of range")
-    row = coloring.row(anchor)
-    if key.is_volume:
-        target = coloring.raw_of_volume(key.volume())
-        if target is None:
-            return []  # no edge of this set has that volume
-        return [v for v, raw in enumerate(row) if raw == target]
-    # a zero color names its own edge, which must extend this anchor by one id
-    return [
-        v
-        for v, raw in enumerate(row)
-        if raw == 0 and v not in anchor and tuple(sorted(anchor + (v,))) == key.value
-    ]
 
 
 def distinct_raws(seen, raws, no_zeros):

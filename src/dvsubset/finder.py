@@ -212,8 +212,8 @@ def _solve(pset, req, coloring, m_obs, budget=None, first=0):
     """
     m = m_obs if budget is None else budget
     t = _target_t(len(pset), m, req.a, req.t_override)
-    watch = budget is not None and m_obs > budget
-    outcome = extract_rainbow(coloring, t, m, req.seed, req.max_retries, watch, first)
+    watch = budget if budget is not None and m_obs > budget else None
+    outcome = extract_rainbow(coloring, t, req.seed, req.max_retries, watch, first)
     if not isinstance(outcome, RainbowResult):
         return outcome
     extra = {} if budget is None else {"m_budget": budget}

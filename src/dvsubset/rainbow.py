@@ -6,10 +6,10 @@ pair to leave a rainbow subset of size >= t.  With ground sets of size
 n >= 4*m*t^(2a-1) the expected pair count is at most 4*m*t^(2a)/n <= t, so a
 handful of retries succeeds with high probability.
 
-With watch=True each sample is first scanned for a "bad" edge: one whose
-(a-1)-tuple sits in more than m same-colored edges over the whole ground set.
-Such a witness hands the caller a large structured set (a sphere or a
-hyperplane locus) to recurse into instead.
+With a class budget m to watch for, each sample is first scanned for a
+"bad" edge: one whose (a-1)-tuple sits in more than m same-colored edges over
+the whole ground set.  Such a witness hands the caller a large structured set
+(a sphere or a hyperplane locus) to recurse into instead.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ class ConflictStats:
     def count(self):
         return len(self.pairs)
 
-    def to_json(self):
-        return {
-            "sample": list(self.sample),
-            "pairs": [[list(e1), list(e2), s] for e1, e2, s in self.pairs],
-            "per_s_counts": list(self.per_s_counts),
-        }
-
 
 @dataclass
 class RainbowResult:
@@ -47,14 +40,6 @@ class RainbowResult:
     retries_used: int
     seed: int
     conflicts_in_accepted_sample: int
-
-    def to_json(self):
-        return {
-            "subset": list(self.subset),
-            "retries_used": self.retries_used,
-            "seed": self.seed,
-            "conflicts_in_accepted_sample": self.conflicts_in_accepted_sample,
-        }
 
 
 @dataclass
@@ -64,14 +49,6 @@ class BadEdgeWitness:
     color: ColorKey
     extensions: list
     attempt: int = 0  # the extraction attempt whose sample held the edge
-
-    def to_json(self):
-        return {
-            "edge": list(self.edge),
-            "tuple": list(self.tuple_ids),
-            "color": self.color.to_json(),
-            "extensions": list(self.extensions),
-        }
 
 
 @dataclass
@@ -154,7 +131,7 @@ def _delete_conflicts(sample, pairs):
     return sorted(alive)
 
 
-def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False, first=0):
+def extract_rainbow(coloring, t, seed, max_retries=64, watch=None, first=0):
     """Las-Vegas search for a rainbow subset of size >= t.
 
     Draws samples of size min(2t, n) with deterministic per-attempt seeds,
@@ -164,10 +141,11 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False, first=0):
     ExtractionFailure carrying the best sample seen.  t <= a is trivially
     rainbow (no two a-edges fit), so the first t ids are returned outright.
 
-    The budget m is not used by the acceptance rule.  With watch=True each
-    sample is first scanned by find_bad_edge, and the first (a-1)-tuple whose
-    volume class over the full ground set exceeds m is returned as a
-    BadEdgeWitness that names its attempt.
+    `watch` is a class budget m, or None to watch for nothing; it never
+    changes the acceptance rule.  Watching, each sample is first scanned by
+    find_bad_edge, and the first (a-1)-tuple whose volume class over the full
+    ground set exceeds m is returned as a BadEdgeWitness that names its
+    attempt.
     """
     n = len(coloring.pset)
     a = coloring.a
@@ -185,10 +163,10 @@ def extract_rainbow(coloring, t, m, seed, max_retries=64, watch=False, first=0):
         attempt_seed = derive_seed(seed, attempt)
         seeds_tried.append(attempt_seed)
         ids = SplitMix64(attempt_seed).sample(n, size)
-        if watch:
-            witness = find_bad_edge(coloring, ids, m)
+        if watch is not None:
+            witness = find_bad_edge(coloring, ids, watch)
             if witness is not None:
-                assert len(witness.extensions) > m
+                assert len(witness.extensions) > watch
                 witness.attempt = attempt
                 return witness
         pairs, per_s = _conflicts_within(coloring, ids)

@@ -48,11 +48,27 @@ def pair_distance_census(coords):
     return census
 
 
+def edge_colors(coloring):
+    """{edge: color_of(edge)} over every edge, in combinations order."""
+    n = len(coloring.pset)
+    return {edge: coloring.color_of(edge) for edge in combinations(range(n), coloring.a)}
+
+
+def extensions_of_color(coloring, anchor, key):
+    """Ids v outside anchor whose edge anchor + (v,) has color key, ascending,
+    by one color_of per extension."""
+    return [
+        v
+        for v in range(len(coloring.pset))
+        if v not in anchor and coloring.color_of(anchor + (v,)) == key
+    ]
+
+
 def global_same_color_pairs(coloring):
     """All unordered pairs of distinct same-volume-colored edges in the whole
     coloring, tallied by shared-vertex count s."""
     groups = {}
-    for edge, key in coloring.colors.items():
+    for edge, key in edge_colors(coloring).items():
         if key.kind != "volume":
             continue
         groups.setdefault(key, []).append(edge)

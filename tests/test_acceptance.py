@@ -171,7 +171,7 @@ def test_criterion_05_extraction_success_rate():
         if goodness(col, cap=1).observed_m > 1:
             continue  # the success bound is stated for m=1 colorings
         included += 1
-        res = extract_rainbow(col, 5, m=1, seed=seed)
+        res = extract_rainbow(col, 5, seed=seed)
         if isinstance(res, RainbowResult):
             assert len(res.subset) >= 5
             assert verify_subset(pset, res.subset, 2).valid
@@ -221,7 +221,7 @@ def test_criterion_07_cocircular_witness_and_sphere_recursion():
     start = time.perf_counter()
     pset = gen_cocircular_plus_noise(30, 100, seed=11)
     col = build_coloring(pset, 2)
-    witness = extract_rainbow(col, 65, m=5, seed=3, watch=True)
+    witness = extract_rainbow(col, 65, seed=3, watch=5)
     assert isinstance(witness, BadEdgeWitness)
     assert witness.tuple_ids == (0,)
     assert witness.extensions == list(range(1, 31))

@@ -292,6 +292,15 @@ def test_verify_from_json_without_subset_exits_2(square_file, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_verify_malformed_subset_exits_2(square_file, capsys):
+    # an empty item is malformed, not skipped: "0,,1," once verified [0, 1]
+    for ids in ("0,,1,", "", "0,x"):
+        argv = ["verify", square_file, "--a", "2", "--subset", ids]
+        assert invoke(argv) == (2, ""), ids
+        err = capsys.readouterr().err
+        assert "argument --subset: not a comma-separated id list" in err and "Traceback" not in err
+
+
 def test_verify_needs_a_subset_source(square_file, capsys):
     # exactly one source: neither, or both, is a usage error before any file
     # is opened
@@ -369,6 +378,12 @@ def test_bench_header_only():
     lines = text.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("instance,n,a,d,observed_m")
+
+
+def test_bench_negative_budget_exits_2(capsys):
+    # no header either: -1 once printed the header and exited 0
+    assert invoke(["bench", "--suite", "grids-2d", "--budget", "-1"]) == (2, "")
+    assert capsys.readouterr().err == "dvsubset bench: budget must be >= 0, got -1\n"
 
 
 def test_bench_grid_rows():

@@ -11,7 +11,6 @@ from dvsubset.coloring import (
     ColorKey,
     Coloring,
     build_coloring,
-    color_class,
     distinct_raws,
     distinct_zeros,
     goodness,
@@ -27,7 +26,14 @@ from dvsubset.generators import (
 from dvsubset.geometry import PointSet, load_pointset, squared_volume
 from dvsubset.rng import SplitMix64
 
-from helpers import census_verify, frac_coords, pair_distance_census, reference_goodness
+from helpers import (
+    census_verify,
+    edge_colors,
+    extensions_of_color,
+    frac_coords,
+    pair_distance_census,
+    reference_goodness,
+)
 
 F = Fraction
 
@@ -79,7 +85,7 @@ def test_square_distance_census():
     # independent census straight off the coordinates
     expect = pair_distance_census(frac_coords(SQUARE))
     col = coloring_of(SQUARE, 2)
-    got = Counter(key.volume() for key in col.colors.values())
+    got = Counter(key.volume() for key in edge_colors(col).values())
     assert dict(got) == expect == {F(1): 4, F(2): 2}
 
 
@@ -89,13 +95,13 @@ def test_general_path_matches_distance_hot_path():
     col = coloring_of(rows, 2)
     from dvsubset.geometry import squared_volume
 
-    for (i, j), key in col.colors.items():
+    for (i, j), key in edge_colors(col).items():
         assert key.volume() == squared_volume([rows[i], rows[j]])
 
 
 def test_triangle_coloring_on_square():
     col = coloring_of(SQUARE, 3)
-    got = Counter(key.volume() for key in col.colors.values())
+    got = Counter(key.volume() for key in edge_colors(col).values())
     assert dict(got) == {F(1, 4): 4}  # all four triangles congruent
 
 
@@ -105,16 +111,16 @@ def test_degenerate_edges_get_unique_colors():
     key = col.color_of((0, 1, 2))
     assert key.kind == "zero"
     assert key.value == (0, 1, 2)
-    others = [k for e, k in col.colors.items() if e != (0, 1, 2)]
+    others = [k for e, k in edge_colors(col).items() if e != (0, 1, 2)]
     assert all(k.is_volume for k in others)
     # the zero color identifies exactly its own edge
-    assert color_class(col, (0, 1), key) == [2]
+    assert extensions_of_color(col, (0, 1), key) == [2]
 
 
 def test_all_zero_coloring():
     rows = [(0, 0), (1, 0), (2, 0), (3, 0)]
     col = coloring_of(rows, 3)
-    keys = list(col.colors.values())
+    keys = list(edge_colors(col).values())
     assert all(k.kind == "zero" for k in keys)
     assert len(set(keys)) == len(keys)
 
@@ -170,26 +176,8 @@ def test_relabeling_consistency():
     base = coloring_of(rows, 2)
     moved = coloring_of([rows[p] for p in perm], 2)
     where = {p: i for i, p in enumerate(perm)}
-    for (i, j), key in base.colors.items():
+    for (i, j), key in edge_colors(base).items():
         assert moved.color_of((where[i], where[j])) == key
-
-
-# ---------------------------------------------------------------- color_class
-
-
-def test_color_class_on_the_line():
-    col = coloring_of(LINE4, 2)
-    assert color_class(col, (1,), ColorKey.from_volume(1)) == [0, 2]
-    assert color_class(col, (0,), ColorKey.from_volume(9)) == [3]
-    assert color_class(col, (0,), ColorKey.from_volume(5)) == []
-
-
-def test_color_class_validation():
-    col = coloring_of(SQUARE, 2)
-    with pytest.raises(ValueError):
-        color_class(col, (0, 1), ColorKey.from_volume(1))  # wrong arity
-    with pytest.raises(ValueError):
-        color_class(col, (9,), ColorKey.from_volume(1))
 
 
 # ------------------------------------------------------------------- goodness
@@ -234,12 +222,12 @@ def test_goodness_witness_is_consistent():
         rep = goodness(col)
         assert len(rep.witness_extensions) == rep.observed_m
         assert (
-            color_class(col, rep.witness_tuple, rep.witness_color)
+            extensions_of_color(col, rep.witness_tuple, rep.witness_color)
             == rep.witness_extensions
         )
         # no class anywhere beats the reported maximum
         by_anchor = {}
-        for edge, key in col.colors.items():
+        for edge, key in edge_colors(col).items():
             if not key.is_volume:
                 continue
             from itertools import combinations
@@ -334,8 +322,8 @@ def test_rows_match_edge_values():
                         key = col.volume_key(raw)
                         edge = sorted(anchor + (v,))
                         assert key == ColorKey.from_volume(squared_volume([rows[i] for i in edge]))
-                        assert v in color_class(col, anchor, key)
-            assert list(col.colors) == list(combinations(range(n), a))
+                        assert col.color_of(edge) == key
+                        assert col.raw_of_volume(key.volume()) == raw
             for ids in (range(n), range(1, n), [5, 0, 3, 1, 4]):
                 expect = [(e, col.raw(e)) for e in combinations(ids, a)]
                 assert list(col.raw_items(ids)) == expect, (rows[0], a, ids)
@@ -343,7 +331,7 @@ def test_rows_match_edge_values():
     # names no edge, even where it equals a raw value in the row
     col = coloring_of(point_sets[0], 3)
     raw = next(r for r in col.row((0, 1)) if r and isqrt(r) ** 2 != r)
-    assert color_class(col, (0, 1), ColorKey.from_det(raw, col.den)) == []
+    assert extensions_of_color(col, (0, 1), ColorKey.from_det(raw, col.den)) == []
     assert col.raw_of_volume(F(raw, col.den)) is None
 
 
@@ -378,7 +366,7 @@ def test_class_sizes_partition_extensions():
     for anchor in combinations(range(n), 2):
         rest = [v for v in range(n) if v not in anchor]
         keys = {col.color_of(tuple(sorted(anchor + (v,)))) for v in rest}
-        total = sum(len(color_class(col, anchor, key)) for key in keys)
+        total = sum(len(extensions_of_color(col, anchor, key)) for key in keys)
         assert total == n - 2
 
 

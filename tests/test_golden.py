@@ -20,11 +20,16 @@ with the whole set (`whole_set` in stats); `axes.find.a2` and
 `axes3d.find.a2` guard the other branch, where goodness is 1 but the whole
 set is not rainbow.
 Any refactor of coloring, goodness or search must reproduce them exactly.
+Each demo's stdout is recorded too, as `demo.<name>.out`, from the code that
+still had the `Coloring.colors` view and an `m` argument to `extract_rainbow`.
 `goodness` runs without `--cap`: a capped scan may stop at a different class
 by design.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,8 @@ import pytest
 from dvsubset.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # input files: random.txt (gen random --d 2 --n 24 --coord-bound 30 --seed 7),
 # grid4.txt (gen grid --d 2 --side 4),
@@ -163,3 +170,14 @@ def test_cli_stdout_matches_recording(case):
     fails = (CASES[case][0] == "verify" and case not in PASSES) or case in FAILS
     assert code == (1 if fails else 0), case
     assert text == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_matches_recording(demo):
+    # each demo as its own process, as the README runs it, from the repo root
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"demo.{demo.stem}.out").read_text(encoding="utf-8")

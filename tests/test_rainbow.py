@@ -36,7 +36,7 @@ def line_coloring(n):
 def is_rainbow(coloring, ids):
     groups = {}
     for edge in combinations(sorted(ids), coloring.a):
-        key = coloring.colors[edge]
+        key = coloring.color_of(edge)
         if key.is_volume:
             groups.setdefault(key, 0)
             groups[key] += 1
@@ -105,7 +105,7 @@ def test_sample_conflicts_deterministic():
     col = build_coloring(gen_random(2, 40, 100, seed=8), 2)
     a = sample_conflicts(col, 10, seed=5)
     b = sample_conflicts(col, 10, seed=5)
-    assert a.to_json() == b.to_json()
+    assert a == b
     assert len(a.sample) == 20
     assert len(set(a.sample)) == 20
 
@@ -124,7 +124,7 @@ def test_mean_conflicts_within_expected_bound():
 
 
 def test_trivial_when_t_at_most_a():
-    res = extract_rainbow(square_coloring(), 2, m=2, seed=9)
+    res = extract_rainbow(square_coloring(), 2, seed=9)
     assert isinstance(res, RainbowResult)
     assert res.subset == [0, 1]
     assert res.retries_used == 0
@@ -132,7 +132,7 @@ def test_trivial_when_t_at_most_a():
 
 
 def test_square_extraction_fails_at_t3():
-    res = extract_rainbow(square_coloring(), 3, m=2, seed=0, max_retries=4)
+    res = extract_rainbow(square_coloring(), 3, seed=0, max_retries=4)
     assert isinstance(res, ExtractionFailure)
     assert res.attempts == 4
     assert res.best_stats.count == 7
@@ -143,7 +143,7 @@ def test_square_extraction_fails_at_t3():
 def test_random_extraction_succeeds():
     pset = gen_random(2, 200, 10**6, seed=1)
     col = build_coloring(pset, 2)
-    res = extract_rainbow(col, 4, m=1, seed=0)
+    res = extract_rainbow(col, 4, seed=0)
     assert isinstance(res, RainbowResult)
     assert len(res.subset) >= 4
     assert is_rainbow(col, res.subset)
@@ -154,9 +154,9 @@ def test_random_extraction_succeeds():
 
 def test_extraction_deterministic():
     col = build_coloring(gen_random(2, 120, 10**5, seed=4), 2)
-    r1 = extract_rainbow(col, 5, m=1, seed=7)
-    r2 = extract_rainbow(col, 5, m=1, seed=7)
-    assert r1.to_json() == r2.to_json()
+    r1 = extract_rainbow(col, 5, seed=7)
+    r2 = extract_rainbow(col, 5, seed=7)
+    assert r1 == r2
 
 
 def test_extraction_deletes_conflicts_when_needed():
@@ -165,7 +165,7 @@ def test_extraction_deletes_conflicts_when_needed():
     col = build_coloring(gen_random(2, 60, 20, seed=5), 2)
     saw_deletion = False
     for seed in range(10):
-        res = extract_rainbow(col, 5, m=1, seed=seed)
+        res = extract_rainbow(col, 5, seed=seed)
         assert isinstance(res, RainbowResult)
         assert is_rainbow(col, res.subset)
         assert len(res.subset) >= 5
@@ -177,9 +177,9 @@ def test_extraction_deletes_conflicts_when_needed():
 def test_extraction_validation():
     col = square_coloring()
     with pytest.raises(ValueError):
-        extract_rainbow(col, 0, m=1, seed=0)
+        extract_rainbow(col, 0, seed=0)
     with pytest.raises(ValueError):
-        extract_rainbow(col, 5, m=1, seed=0)  # t > n
+        extract_rainbow(col, 5, seed=0)  # t > n
 
 
 # ------------------------------------------------------------------- bad edges
@@ -246,12 +246,8 @@ def test_find_bad_edge_none_on_a_degenerate_coloring():
 
 def test_find_bad_edge_json():
     w = find_bad_edge(line_coloring(4), [1], 1)
-    assert w.to_json() == {
-        "edge": [0, 1],
-        "tuple": [1],
-        "color": {"kind": "volume", "value": "1/1"},
-        "extensions": [0, 2],
-    }
+    assert (w.edge, w.tuple_ids, w.extensions, w.attempt) == ((0, 1), (1,), [0, 2], 0)
+    assert w.color.to_json() == {"kind": "volume", "value": "1/1"}
 
 
 # --------------------------------------------------------- bad-edge watch
@@ -260,7 +256,7 @@ def test_find_bad_edge_json():
 def test_fast_returns_witness_for_cocircular_center():
     pset = gen_cocircular_plus_noise(8, 4, seed=2)
     col = build_coloring(pset, 2)
-    res = extract_rainbow(col, 5, m=3, seed=0, watch=True)
+    res = extract_rainbow(col, 5, seed=0, watch=3)
     assert isinstance(res, BadEdgeWitness)
     assert res.tuple_ids == (0,)
     assert res.color == ColorKey.from_volume(1)
@@ -268,13 +264,13 @@ def test_fast_returns_witness_for_cocircular_center():
 
 
 def test_fast_witness_on_square_with_tight_budget():
-    res = extract_rainbow(square_coloring(), 3, m=1, seed=0, watch=True)
+    res = extract_rainbow(square_coloring(), 3, seed=0, watch=1)
     assert isinstance(res, BadEdgeWitness)
     assert len(res.extensions) > 1
 
 
 def test_fast_failure_mirrors_plain_when_no_bad_edge():
-    res = extract_rainbow(square_coloring(), 3, m=2, seed=0, max_retries=4, watch=True)
+    res = extract_rainbow(square_coloring(), 3, seed=0, max_retries=4, watch=2)
     assert isinstance(res, ExtractionFailure)
     assert res.best_stats.count == 7
 
@@ -282,14 +278,14 @@ def test_fast_failure_mirrors_plain_when_no_bad_edge():
 def test_fast_matches_plain_on_clean_instances():
     col = build_coloring(gen_random(2, 150, 10**6, seed=6), 2)
     m = goodness(col).observed_m
-    plain = extract_rainbow(col, 5, m=m, seed=2)
-    fast = extract_rainbow(col, 5, m=m, seed=2, watch=True)
+    plain = extract_rainbow(col, 5, seed=2)
+    fast = extract_rainbow(col, 5, seed=2, watch=m)
     assert isinstance(plain, RainbowResult)
-    assert plain.to_json() == fast.to_json()
+    assert plain == fast
 
 
 def test_fast_trivial_when_t_small():
-    res = extract_rainbow(square_coloring(), 1, m=1, seed=0, watch=True)
+    res = extract_rainbow(square_coloring(), 1, seed=0, watch=1)
     assert res.subset == [0]
 
 
