@@ -77,14 +77,8 @@ def h_general_lower(a, d, n, c):
 
 
 def H_general_recurrence(a, d, t, j, base=1):
-    """Iterate H_d = 4*j*H_{d-1}*t^(2a-1) down from H_0 = base.
-
-    Closed form (4*j*t^(2a-1))^d * base; the loop is kept so each level of
-    the dimension-reduction argument is visible to tests.
-    """
+    """H_d of the recurrence H_d = 4*j*H_{d-1}*t^(2a-1) from H_0 = base, in
+    closed form: (4*j*t^(2a-1))^d * base."""
     if a < 2 or d < 0 or t < 1 or j < 1 or base < 1:
         raise ValueError("need a >= 2, d >= 0, t >= 1, j >= 1, base >= 1")
-    h = base
-    for _ in range(d):
-        h = 4 * j * h * t ** (2 * a - 1)
-    return h
+    return (4 * j * t ** (2 * a - 1)) ** d * base

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 from .geometry import check_a, det_bareiss, squared_volume
@@ -42,11 +42,6 @@ ZERO = "zero"
 class ColorKey(NamedTuple):
     kind: str
     value: tuple  # reduced (num, den) for volume colors; the edge ids for zero
-
-    @classmethod
-    def from_det(cls, det, den):
-        g = gcd(det, den)
-        return cls(VOLUME, (det // g, den // g))
 
     @classmethod
     def from_volume(cls, q):
@@ -98,12 +93,11 @@ class Coloring:
     extensions as a list indexed by point id, in closed form, and
     `row(anchor, ids)` the same over the given ids only.  Every scan over
     edges reads rows: `raw_items(ids)` is every edge inside ids, in
-    combinations order.  `raw(edge)` is one edge's value from
-    `squared_volume`, an independent route kept for single-edge lookups and
-    as the reference the rows are tested against.  Nothing is stored per
-    edge; all values share the denominator `den`, `volume_key(raw)` is a
-    value's color and `raw_of_volume(q)` maps a squared volume back to its
-    value.  `color_of(edge)` is one edge's output color, read through `raw`.
+    combinations order.  Nothing is stored per edge; all values share the
+    denominator `den`, and `volume_key(raw)` is a value's color.
+    `color_of(edge)` is one edge's output color, read from `squared_volume`:
+    an independent route kept for single-edge lookups and as the reference
+    the rows are tested against.
     """
 
     __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term")
@@ -162,14 +156,6 @@ class Coloring:
                     out = [o + (y := s + c * x) * y for o, s, x in zip(out, acc, col)]
         return out
 
-    def raw(self, edge):
-        """One sorted edge's raw: raw_of_volume of its squared volume, which
-        must name a value."""
-        raw = self.raw_of_volume(squared_volume([self.pset[i] for i in edge]))
-        if raw is None:
-            raise RuntimeError(f"internal error: edge {edge} has no raw value")
-        return raw
-
     def _runs(self, ids):
         """(anchor, rest) per run of the edges inside ids, in combinations order.
 
@@ -190,20 +176,9 @@ class Coloring:
     def volume_key(self, raw):
         """Output color of a nonzero raw value: the reduced raw / den, with a
         one-term raw (a = d+1) squared first."""
-        return ColorKey.from_det(raw * raw if self._one_term else raw, self.den)
-
-    def raw_of_volume(self, q):
-        """The raw value of squared volume q, the inverse of volume_key, or
-        None when no edge of this coloring can have that volume: q * den is
-        not an integer or, at a = d+1, not a square."""
-        q = Fraction(q) * self.den
-        if q.denominator != 1:
-            return None
-        raw = q.numerator
-        if self._one_term:
-            root = isqrt(raw)
-            return root if root * root == raw else None
-        return raw
+        num = raw * raw if self._one_term else raw
+        g = gcd(num, self.den)
+        return ColorKey(VOLUME, (num // g, self.den // g))
 
     def color_of(self, edge):
         key = tuple(sorted(edge))
@@ -211,8 +186,8 @@ class Coloring:
             raise ValueError(f"edge must be {self.a} distinct ids")
         if not (0 <= key[0] and key[-1] < len(self.pset)):
             raise ValueError("edge ids out of range")
-        raw = self.raw(key)
-        return self.volume_key(raw) if raw else ColorKey.for_zero_edge(key)
+        q = squared_volume([self.pset[i] for i in key])
+        return ColorKey.from_volume(q) if q else ColorKey.for_zero_edge(key)
 
 def build_coloring(pset, a):
     """Color every a-subset of the point set by exact squared simplex volume.

@@ -27,7 +27,7 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 
 from .bounds import int_nth_root
@@ -92,15 +92,7 @@ class FindResult:
     stats: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "subset": list(self.subset),
-            "certificate": self.certificate,
-            "t_target": self.t_target,
-            "observed_m": self.observed_m,
-            "recursion_trace": self.recursion_trace,
-            "seed": self.seed,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 def _checked_ids(pset, subset, a):
@@ -227,17 +219,13 @@ def _run(pset, req):
     n = len(pset)
     d = pset.dimension
     depth = req.recursion_depth_cap
-    if req.variant == "h_prime":
-        ok, witness = general_position_check(pset, a)
-        if not ok:
-            raise GeneralPositionError(witness)
     coloring = build_coloring(pset, a)
     report = goodness(coloring)
     m_obs = report.observed_m
     budget = None if req.mode == "auto" else req.m or _level_budget(n, a)
     t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
     if report.rainbow:
-        # no volume repeats; under h_prime the check above ruled out zeros
+        # no volume repeats; under h_prime find_subset's check ruled out zeros
         return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
     witness = _solve(pset, req, coloring, m_obs, budget)
     if not isinstance(witness, BadEdgeWitness):
@@ -322,6 +310,11 @@ def find_subset(pset, req):
         req = replace(req, recursion_depth_cap=d)
     elif req.recursion_depth_cap < 0:
         raise ValueError("recursion_depth_cap must be >= 0")
+    if req.variant == "h_prime":
+        # once: a sphere child is a subset of this set, so it inherits general position
+        ok, witness = general_position_check(pset, a)
+        if not ok:
+            raise GeneralPositionError(witness)
     result = _run(pset, req)
     # verified once, on the input set; a recursion's answer is not checked on its child set
     if isinstance(result, FindResult) and not verify_subset(

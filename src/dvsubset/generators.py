@@ -89,6 +89,26 @@ def gen_sphere2d(n):
     return PointSet(2, [circle_point(u) for u in range(n)])
 
 
+def _plus_noise(rows, n_noise, seed, coord_bound, keep=lambda p: True):
+    """rows and n_noise seeded random plane points new to them, numerators
+    uniform in [0, coord_bound] over coord_bound**2; draws that repeat a
+    point or fail `keep` are re-drawn."""
+    den = coord_bound**2
+    rng = SplitMix64(seed)
+    seen = set(rows)
+    total = len(rows) + n_noise
+    while len(rows) < total:
+        tup = (
+            Fraction(rng.below(coord_bound + 1), den),
+            Fraction(rng.below(coord_bound + 1), den),
+        )
+        if not keep(tup) or tup in seen:
+            continue
+        seen.add(tup)
+        rows.append(tup)
+    return PointSet(2, rows)
+
+
 def gen_cocircular_plus_noise(n_circle, n_noise, seed, coord_bound=10**6):
     """The origin, n_circle points at exact squared distance 1 from it, and
     n_noise seeded random points."""
@@ -96,19 +116,7 @@ def gen_cocircular_plus_noise(n_circle, n_noise, seed, coord_bound=10**6):
         raise ValueError("need n_circle >= 1, n_noise >= 0")
     rows = [(Fraction(0), Fraction(0))]
     rows.extend(circle_point(u) for u in range(n_circle))
-    den = coord_bound**2
-    rng = SplitMix64(seed)
-    seen = set(rows)
-    while len(rows) < 1 + n_circle + n_noise:
-        tup = (
-            Fraction(rng.below(coord_bound + 1), den),
-            Fraction(rng.below(coord_bound + 1), den),
-        )
-        if tup in seen:
-            continue
-        seen.add(tup)
-        rows.append(tup)
-    return PointSet(2, rows)
+    return _plus_noise(rows, n_noise, seed, coord_bound)
 
 
 def gen_collinear(n_line, n_noise=0, seed=0, coord_bound=10**6):
@@ -116,17 +124,4 @@ def gen_collinear(n_line, n_noise=0, seed=0, coord_bound=10**6):
     if n_line < 2 or n_noise < 0:
         raise ValueError("need n_line >= 2, n_noise >= 0")
     rows = [(Fraction(k), Fraction(0)) for k in range(n_line)]
-    den = coord_bound**2
-    rng = SplitMix64(seed)
-    seen = set(rows)
-    while len(rows) < n_line + n_noise:
-        tup = (
-            Fraction(rng.below(coord_bound + 1), den),
-            Fraction(rng.below(coord_bound + 1), den),
-        )
-        if tup[1] == 0 or tup in seen:
-            continue
-        seen.add(tup)
-        rows.append(tup)
-    return PointSet(2, rows)
-
+    return _plus_noise(rows, n_noise, seed, coord_bound, keep=lambda p: p[1] != 0)

@@ -38,7 +38,6 @@ class ConflictStats:
 class RainbowResult:
     subset: list
     retries_used: int
-    seed: int
     conflicts_in_accepted_sample: int
 
 
@@ -154,7 +153,7 @@ def extract_rainbow(coloring, t, seed, max_retries=64, watch=None, first=0):
     if n < t:
         raise ValueError(f"need n >= t, got n={n}, t={t}")
     if t <= a:
-        return RainbowResult(list(range(t)), 0, seed, 0)
+        return RainbowResult(list(range(t)), 0, 0)
     size = min(2 * t, n)
     accept = min(t, size - t)
     best = None
@@ -175,7 +174,7 @@ def extract_rainbow(coloring, t, seed, max_retries=64, watch=None, first=0):
             subset = _delete_conflicts(ids, pairs)
             assert distinct_zeros(coloring, subset) is not None, "deletion left a repeated volume"
             assert len(subset) >= t
-            return RainbowResult(subset, attempt, seed, len(pairs))
+            return RainbowResult(subset, attempt, len(pairs))
         if best is None or len(pairs) < len(best.pairs):
             best = stats
     return ExtractionFailure(max_retries, best, seeds_tried)

@@ -77,19 +77,20 @@ def test_H_recurrence_values():
 
 
 def test_H_simplex_equals_g_on_doubled_m():
+    # g_upper(d+1, 2t, t) = 4 * 2t * t^(2d+1) = 8 * t^(2d+2)
     for d in (2, 3, 4):
         for t in (d + 1, 2 * d, 10):
-            assert H_simplex_upper(d, t) == g_upper(d + 1, 2 * t, t)
+            assert H_simplex_upper(d, t) == 8 * t ** (2 * d + 2)
 
 
 def test_H_recurrence_closed_form():
     for a in (2, 3):
-        for d in (0, 1, 2, 3):
-            for t in (2, 5):
-                for j in (1, 3):
-                    assert H_general_recurrence(a, d, t, j, 2) == (
-                        4 * j * t ** (2 * a - 1)
-                    ) ** d * 2
+        for t in (2, 5):
+            for j in (1, 3):
+                h = 2  # H_0 = base
+                for d in range(4):
+                    assert H_general_recurrence(a, d, t, j, 2) == h
+                    h = 4 * j * h * t ** (2 * a - 1)
 
 
 def test_monotonicity():

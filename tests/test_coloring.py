@@ -50,7 +50,6 @@ def coloring_of(rows, a, d=None):
 
 
 def test_colorkey_reduction_and_roundtrip():
-    assert ColorKey.from_det(4, 8) == ColorKey.from_volume(F(1, 2))
     assert ColorKey.from_volume(F(3, 6)).value == (1, 2)
     assert ColorKey.from_volume(2).volume() == 2
     with pytest.raises(ValueError):
@@ -285,13 +284,14 @@ def test_goodness_cap_stops_at_first_anchor_over_cap():
 
 
 def test_rows_match_edge_values():
-    # row() is Cauchy-Binet algebra on per-axis-cleared columns and raw()
-    # maps one edge's squared_volume to its raw value: two routes that must
-    # agree exactly for every a, including anchors inside the collinear and
-    # coplanar subsets, and on mixed denominators.  Each nonzero raw's color is
-    # also checked against squared_volume, which catches a wrong den or a
-    # missing square; the golden axes sets clear each axis by a different lcm,
-    # so below a = d+1 the coordinate sets of one row carry unequal weights
+    # row() is Cauchy-Binet algebra on per-axis-cleared columns and
+    # squared_volume is the Gram determinant of one edge: two routes that
+    # must agree exactly for every a, including anchors inside the collinear
+    # and coplanar subsets, and on mixed denominators.  A raw is 0 exactly
+    # when the volume is, and otherwise its color is the reduced volume,
+    # which catches a wrong den or a missing square; the golden axes sets
+    # clear each axis by a different lcm, so below a = d+1 the coordinate
+    # sets of one row carry unequal weights
     golden = Path(__file__).resolve().parent / "golden"
     point_sets = [[p.coords for p in load_pointset(golden / f)] for f in ("axes.txt", "axes3d.txt")]
     point_sets += [
@@ -307,32 +307,37 @@ def test_rows_match_edge_values():
     ]
     from itertools import combinations
 
+    def check(col, rows, edge, raw):
+        q = squared_volume([rows[i] for i in edge])
+        if q == 0:
+            assert raw == 0, (rows[0], col.a, edge)
+            assert col.color_of(edge) == ColorKey.for_zero_edge(edge)
+        else:
+            assert col.volume_key(raw) == ColorKey.from_volume(q), (rows[0], col.a, edge)
+            assert col.color_of(edge) == col.volume_key(raw)
+
     for rows in point_sets:
         n = len(rows)
         for a in range(2, len(rows[0]) + 2):
             col = coloring_of(rows, a)
             for anchor in combinations(range(n), a - 1):
-                expect = [
-                    0 if v in anchor else col.raw(tuple(sorted(anchor + (v,))))
-                    for v in range(n)
-                ]
-                assert col.row(anchor) == expect, (rows[0], a, anchor)
-                for v, raw in enumerate(expect):
-                    if raw:
-                        key = col.volume_key(raw)
-                        edge = sorted(anchor + (v,))
-                        assert key == ColorKey.from_volume(squared_volume([rows[i] for i in edge]))
-                        assert col.color_of(edge) == key
-                        assert col.raw_of_volume(key.volume()) == raw
+                row = col.row(anchor)
+                assert len(row) == n
+                for v, raw in enumerate(row):
+                    if v in anchor:
+                        assert raw == 0
+                    else:
+                        check(col, rows, tuple(sorted(anchor + (v,))), raw)
             for ids in (range(n), range(1, n), [5, 0, 3, 1, 4]):
-                expect = [(e, col.raw(e)) for e in combinations(ids, a)]
-                assert list(col.raw_items(ids)) == expect, (rows[0], a, ids)
+                items = list(col.raw_items(ids))
+                assert [e for e, _ in items] == list(combinations(ids, a)), (rows[0], a, ids)
+                for edge, raw in items:
+                    check(col, rows, tuple(sorted(edge)), raw)
     # at a = d+1 a row holds |det|, so a scaled target that is not a square
     # names no edge, even where it equals a raw value in the row
     col = coloring_of(point_sets[0], 3)
     raw = next(r for r in col.row((0, 1)) if r and isqrt(r) ** 2 != r)
-    assert extensions_of_color(col, (0, 1), ColorKey.from_det(raw, col.den)) == []
-    assert col.raw_of_volume(F(raw, col.den)) is None
+    assert extensions_of_color(col, (0, 1), ColorKey.from_volume(F(raw, col.den))) == []
 
 
 def test_goodness_memory_stays_per_row():

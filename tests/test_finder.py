@@ -321,6 +321,24 @@ def test_sphere_recursion_answer_is_verified_once(monkeypatch):
     assert calls == [(len(pset), res.subset)]
 
 
+def test_general_position_is_checked_once_per_find(monkeypatch):
+    # a sphere child is a subset of the checked input, so only find_subset
+    # walks the input's edges for general position, not every recursion level
+    calls = []
+    check = finder.general_position_check
+
+    def counted(pset, a):
+        calls.append(len(pset))
+        return check(pset, a)
+
+    monkeypatch.setattr(finder, "general_position_check", counted)
+    pset = load_pointset(GOLDEN / "cocircular.txt")
+    req = FindRequest(a=2, mode="locus_recursion", m=3, t_override=6, seed=4, variant="h_prime")
+    res = find_subset(pset, req)
+    assert [entry["locus"] for entry in res.recursion_trace] == ["sphere"]
+    assert calls == [len(pset)]
+
+
 def unit_circle(k):
     """k distinct rational points on the unit circle: the powers of the
     rotation with cosine 3/5 and sine 4/5, so a chord's length depends only
