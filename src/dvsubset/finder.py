@@ -14,7 +14,8 @@ subset searched for.
 Modes:
 
 * auto: aim for the largest t with 4*m*t^(2a-1) <= n, m the observed
-  goodness, and run plain rainbow extraction.
+  goodness, and run plain rainbow extraction; a request m or depth cap is
+  an error.
 * locus_recursion: aim t at a class budget m (the caller's, or a per-level
   default) and watch the extraction for bad edges; a bad edge hands back a
   structured locus to recurse into. For a=2 the locus is a sphere around the
@@ -33,7 +34,7 @@ from itertools import combinations
 from .bounds import int_nth_root
 from .coloring import Coloring, build_coloring, distinct_raws, distinct_zeros, goodness, repeated
 from .geometry import check_a, det_bareiss, squared_volume
-from .rainbow import BadEdgeWitness, ExtractionFailure, RainbowResult, extract_rainbow
+from .rainbow import BadEdgeWitness, ExtractionFailure, extract_rainbow
 from .rng import derive_seed
 
 MODES = ("auto", "fixed_m", "locus_recursion")
@@ -192,32 +193,21 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
     return FindResult(list(subset), certificate, t, m_obs, list(trace), req.seed, stats)
 
 
-def _solve(pset, req, coloring, m_obs, budget=None, first=0):
-    """One extraction, on a set whose goodness report is not rainbow.
-
-    Without a budget (auto, and fixed/locus when no locus applies) t follows
-    the observed goodness.  With one, t follows the budget, and when the
-    observed goodness exceeds it the extraction watches for bad edges, so a
-    BadEdgeWitness may come back.  At m_obs <= budget no class anywhere
-    exceeds the budget, so no sample could hold a bad edge and none is
-    scanned.  Extraction starts at attempt `first`.
-    """
-    m = m_obs if budget is None else budget
-    t = _target_t(len(pset), m, req.a, req.t_override)
-    watch = budget if budget is not None and m_obs > budget else None
-    outcome = extract_rainbow(coloring, t, req.seed, req.max_retries, watch, first)
-    if not isinstance(outcome, RainbowResult):
-        return outcome
-    extra = {} if budget is None else {"m_budget": budget}
-    extra["retries_used"] = outcome.retries_used
-    extra["conflicts_in_accepted_sample"] = outcome.conflicts_in_accepted_sample
-    return _result(pset, req, outcome.subset, "rainbow", t, m_obs, [], extra)
-
-
 def _run(pset, req):
+    """One search level on pset: a FindResult, or an ExtractionFailure.
+
+    The whole set answers when goodness reports it rainbow.  Otherwise t
+    follows the class budget (the request's m, else the level default), or
+    in auto mode the observed goodness m_obs, and one extraction runs,
+    watching for bad edges only when m_obs exceeds the budget: otherwise no
+    class anywhere does.  A bad edge hands on its locus: at a=2 with depth
+    left its sphere is the next level; at a=d+1 under variant h a hyperplane
+    side of t points answers "all_zero".  When neither answers, t follows
+    m_obs (no `m_budget` in the stats) and an unwatched extraction resumes
+    after the witness's sample.
+    """
     a = req.a
     n = len(pset)
-    d = pset.dimension
     depth = req.recursion_depth_cap
     coloring = build_coloring(pset, a)
     report = goodness(coloring)
@@ -227,57 +217,50 @@ def _run(pset, req):
     if report.rainbow:
         # no volume repeats; under h_prime find_subset's check ruled out zeros
         return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
-    witness = _solve(pset, req, coloring, m_obs, budget)
-    if not isinstance(witness, BadEdgeWitness):
-        return witness  # a FindResult or an ExtractionFailure; always one without a budget
-    if a == 2 and depth > 0:
-        # sphere locus: every extension at one exact squared distance from the anchor
-        center = pset[witness.tuple_ids[0]]
-        radius_sq = witness.color.volume()
-        for v in witness.extensions:
-            assert squared_volume([center, pset[v]]) == radius_sq
-        carried = list(witness.extensions)
-        child_req = replace(
-            req,
-            t_override=None,
-            seed=derive_seed(req.seed, len(carried)),
-            recursion_depth_cap=depth - 1,
-        )
-        child = _run(pset.subset(carried), child_req)
-        if isinstance(child, ExtractionFailure):
-            return child
-        mapped = [carried[v] for v in child.subset]
-        trace = [{"locus": "sphere", "ids": carried}]
-        for entry in child.recursion_trace:
-            trace.append(
-                {"locus": entry["locus"], "ids": [carried[v] for v in entry["ids"]]}
-            )
-        return _result(
-            pset,
-            req,
-            mapped,
-            child.certificate,
-            t,
-            m_obs,
-            trace,
-            {"m_budget": budget, "child_stats": child.stats},
-        )
-    if a == d + 1 and a >= 3:
-        pos, neg = _split_by_hyperplane(pset, witness.tuple_ids, witness.extensions)
-        larger = pos if len(pos) >= len(neg) else neg
-        if req.variant == "h" and len(larger) >= t:
-            side = sorted(larger)
-            return _result(
-                pset,
+    extra = {} if budget is None else {"m_budget": budget}
+    watch = budget if budget is not None and m_obs > budget else None
+    outcome = extract_rainbow(coloring, t, req.seed, req.max_retries, watch)
+    if isinstance(outcome, BadEdgeWitness):
+        witness = outcome
+        if a == 2 and depth > 0:
+            # sphere locus: every extension at one exact squared distance from the anchor
+            center = pset[witness.tuple_ids[0]]
+            radius_sq = witness.color.volume()
+            for v in witness.extensions:
+                assert squared_volume([center, pset[v]]) == radius_sq
+            carried = list(witness.extensions)
+            child_req = replace(
                 req,
-                side[:t],
-                "all_zero",
-                t,
-                m_obs,
-                [{"locus": "hyperplane", "ids": side}],
-                {"m_budget": budget, "side_size": len(side)},
+                t_override=None,
+                seed=derive_seed(req.seed, len(carried)),
+                recursion_depth_cap=depth - 1,
             )
-    return _solve(pset, req, coloring, m_obs, first=witness.attempt + 1)
+            child = _run(pset.subset(carried), child_req)
+            if isinstance(child, ExtractionFailure):
+                return child
+            mapped = [carried[v] for v in child.subset]
+            trace = [{"locus": "sphere", "ids": carried}] + [
+                {"locus": e["locus"], "ids": [carried[v] for v in e["ids"]]}
+                for e in child.recursion_trace
+            ]
+            extra["child_stats"] = child.stats
+            return _result(pset, req, mapped, child.certificate, t, m_obs, trace, extra)
+        if a == pset.dimension + 1 and a >= 3:
+            pos, neg = _split_by_hyperplane(pset, witness.tuple_ids, witness.extensions)
+            larger = pos if len(pos) >= len(neg) else neg
+            if req.variant == "h" and len(larger) >= t:
+                side = sorted(larger)
+                trace = [{"locus": "hyperplane", "ids": side}]
+                extra["side_size"] = len(side)
+                return _result(pset, req, side[:t], "all_zero", t, m_obs, trace, extra)
+        t = _target_t(n, m_obs, a, req.t_override)
+        extra = {}
+        outcome = extract_rainbow(coloring, t, req.seed, req.max_retries, first=witness.attempt + 1)
+    if isinstance(outcome, ExtractionFailure):
+        return outcome
+    extra["retries_used"] = outcome.retries_used
+    extra["conflicts_in_accepted_sample"] = outcome.conflicts_in_accepted_sample
+    return _result(pset, req, outcome.subset, "rainbow", t, m_obs, [], extra)
 
 
 def find_subset(pset, req):
@@ -288,16 +271,12 @@ def find_subset(pset, req):
     GeneralPositionError when variant h_prime meets a degenerate input and
     ValueError on malformed requests.
     """
-    a = req.a
-    d = pset.dimension
-    n = len(pset)
-    check_a(a, d)
-    if n < a:
-        raise ValueError(f"need at least a={a} points, got {n}")
     if req.mode not in MODES:
         raise ValueError(f"unknown mode {req.mode!r}")
     if req.mode == "fixed_m" and req.m is None:
         raise ValueError("fixed_m mode requires m")
+    if req.mode == "auto" and (req.m is not None or req.recursion_depth_cap is not None):
+        raise ValueError("auto mode reads neither m nor recursion_depth_cap")
     if req.variant not in VARIANTS:
         raise ValueError(f"unknown variant {req.variant!r}")
     if req.max_retries < 1:
@@ -307,18 +286,18 @@ def find_subset(pset, req):
     if req.m is not None and req.m < 1:
         raise ValueError("m must be >= 1")
     if req.recursion_depth_cap is None:
-        req = replace(req, recursion_depth_cap=d)
+        req = replace(req, recursion_depth_cap=pset.dimension)
     elif req.recursion_depth_cap < 0:
         raise ValueError("recursion_depth_cap must be >= 0")
     if req.variant == "h_prime":
         # once: a sphere child is a subset of this set, so it inherits general position
-        ok, witness = general_position_check(pset, a)
+        ok, witness = general_position_check(pset, req.a)
         if not ok:
             raise GeneralPositionError(witness)
     result = _run(pset, req)
     # verified once, on the input set; a recursion's answer is not checked on its child set
     if isinstance(result, FindResult) and not verify_subset(
-        pset, result.subset, a, req.variant
+        pset, result.subset, req.a, req.variant
     ).valid:
         raise RuntimeError("internal error: search produced an invalid subset")
     return result

@@ -15,12 +15,12 @@ from .rng import SplitMix64
 GRID_BUDGET = 1_000_000
 
 
-def gen_grid(d, side, budget=GRID_BUDGET):
-    """Integer grid {0..side-1}^d, ids in row-major order."""
+def gen_grid(d, side):
+    """Integer grid {0..side-1}^d, ids in row-major order, at most GRID_BUDGET points."""
     if d < 1 or side < 1:
         raise ValueError("need d >= 1 and side >= 1")
-    if side**d > budget:
-        raise ValueError(f"grid of {side}^{d} points exceeds budget {budget}")
+    if side**d > GRID_BUDGET:
+        raise ValueError(f"grid of {side}^{d} points exceeds budget {GRID_BUDGET}")
     return PointSet(d, [tuple(p) for p in product(range(side), repeat=d)])
 
 
@@ -51,18 +51,16 @@ def gen_parallel_lines(d, n):
     return PointSet(d, rows)
 
 
-def gen_random(d, n, coord_bound, seed, denominator=None):
-    """n distinct points with numerators uniform in [0, coord_bound] over a
-    common denominator (default coord_bound**2). Duplicates are re-drawn."""
+def gen_random(d, n, coord_bound, seed):
+    """n distinct points with numerators uniform in [0, coord_bound] over the
+    common denominator coord_bound**2. Duplicates are re-drawn."""
     if d < 1 or n < 1 or coord_bound < 1:
         raise ValueError("need d >= 1, n >= 1, coord_bound >= 1")
     if (coord_bound + 1) ** d < n:
         raise ValueError(
             f"only {(coord_bound + 1) ** d} distinct points available, need {n}"
         )
-    den = denominator if denominator is not None else coord_bound**2
-    if den < 1:
-        raise ValueError("denominator must be >= 1")
+    den = coord_bound**2
     rng = SplitMix64(seed)
     rows = []
     seen = set()

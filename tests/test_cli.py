@@ -182,12 +182,20 @@ def test_empty_set_exits_2(monkeypatch, capsys):
 
 def test_negative_depth_and_cap_exit_2(square_file, capsys):
     for argv in (
-        ["find", square_file, "--a", "2", "--depth", "-3"],
+        ["find", square_file, "--a", "2", "--mode", "locus", "--depth", "-3"],
         ["goodness", square_file, "--a", "2", "--cap", "-1"],
     ):
         assert invoke(argv) == (2, ""), argv
         err = capsys.readouterr().err
         assert err.startswith(f"dvsubset {argv[0]}: ") and "Traceback" not in err
+
+
+def test_auto_mode_rejects_m_and_depth(square_file, capsys):
+    # auto mode reads neither flag, so passing one is a usage error
+    for flag in ("--m", "--depth"):
+        assert invoke(["find", square_file, "--a", "2", "--mode", "auto", flag, "1"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "dvsubset find: auto mode reads neither m nor recursion_depth_cap\n"
 
 
 def test_goodness_pretty_is_same_payload(square_file):

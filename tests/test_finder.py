@@ -493,10 +493,15 @@ def test_request_validation():
         find_subset(SQUARE, FindRequest(a=2, max_retries=0))
     with pytest.raises(ValueError):
         find_subset(SQUARE, FindRequest(a=2, t_override=0))
-    with pytest.raises(ValueError):
-        find_subset(SQUARE, FindRequest(a=2, m=0))
-    with pytest.raises(ValueError, match="recursion_depth_cap"):
-        find_subset(SQUARE, FindRequest(a=2, recursion_depth_cap=-1))
+    with pytest.raises(ValueError, match="m must be"):
+        find_subset(SQUARE, FindRequest(a=2, mode="locus_recursion", m=0))
+    with pytest.raises(ValueError, match="recursion_depth_cap must be"):
+        find_subset(SQUARE, FindRequest(a=2, mode="locus_recursion", recursion_depth_cap=-1))
+    # auto mode reads neither field, so setting one is an error, not a no-op
+    with pytest.raises(ValueError, match="auto mode"):
+        find_subset(SQUARE, FindRequest(a=2, m=3))
+    with pytest.raises(ValueError, match="auto mode"):
+        find_subset(SQUARE, FindRequest(a=2, recursion_depth_cap=1))
 
 
 # ------------------------------------------------------------ exhaustive oracle
@@ -643,3 +648,43 @@ def test_fallback_continues_after_the_witness_sample(monkeypatch):
     argv = ["find", str(path), "--a", "2", "--mode", "fixed", "--m", "3", "--t", "6", "--seed", "4"]
     assert run(argv + ["--depth", "0"], io.StringIO()) == 0
     assert attempts == [0, 1]
+
+
+def _spy_extractions(monkeypatch):
+    """The type names of what each finder.extract_rainbow call returns."""
+    outcomes = []
+    extract = finder.extract_rainbow
+
+    def spied(*args, **kwargs):
+        outcome = extract(*args, **kwargs)
+        outcomes.append(type(outcome).__name__)
+        return outcome
+
+    monkeypatch.setattr(finder, "extract_rainbow", spied)
+    return outcomes
+
+
+def test_bad_edge_below_d_plus_1_falls_back(monkeypatch):
+    # a=3 in 3-space has neither a sphere (a=2) nor a hyperplane (a=d+1)
+    # locus, so the witness hands over to plain extraction at t from m_obs
+    outcomes = _spy_extractions(monkeypatch)
+    ps = gen_random(3, 20, 5, 0)
+    res = find_subset(ps, FindRequest(a=3, mode="fixed_m", m=1, t_override=4, seed=0))
+    assert outcomes == ["BadEdgeWitness", "RainbowResult"]
+    assert res.subset == [1, 6, 8, 11, 15, 19]
+    assert (res.t_target, res.observed_m) == (4, 4)
+    assert res.stats["retries_used"] == 36
+    assert "m_budget" not in res.stats
+
+
+def test_hyperplane_witness_under_h_prime_falls_back(monkeypatch):
+    # a=d+1=3: the hyperplane side answers only variant h, so under h_prime
+    # the witness hands over to plain extraction
+    outcomes = _spy_extractions(monkeypatch)
+    ps = gen_random(2, 12, 40, 3)
+    req = FindRequest(a=3, mode="fixed_m", m=1, t_override=4, variant="h_prime", seed=3)
+    res = find_subset(ps, req)
+    assert outcomes == ["BadEdgeWitness", "RainbowResult"]
+    assert res.subset == [1, 2, 3, 5, 6, 7, 10]
+    assert res.stats["retries_used"] == 3
+    assert "m_budget" not in res.stats

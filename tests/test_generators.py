@@ -46,7 +46,7 @@ def test_grid_distance_censuses():
 
 def test_grid_budget_guard():
     with pytest.raises(ValueError):
-        gen_grid(3, 101, budget=10**6)
+        gen_grid(3, 101)
     with pytest.raises(ValueError):
         gen_grid(0, 2)
 
@@ -115,13 +115,6 @@ def test_random_capacity_guard():
     with pytest.raises(ValueError):
         gen_random(1, 12, 10, seed=0)  # only 11 distinct points exist
     gen_random(1, 11, 10, seed=0)  # exactly full is fine
-
-
-def test_random_custom_denominator():
-    ps = gen_random(2, 5, 10, seed=1, denominator=7)
-    for p in ps:
-        for c in p.coords:
-            assert c.denominator in (1, 7)
 
 
 # --------------------------------------------------------------------- circles
