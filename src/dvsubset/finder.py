@@ -134,8 +134,10 @@ def verify_subset(pset, subset, a, variant="h"):
 def general_position_check(pset, a):
     """(True, None) iff every a-subset spans affine rank a-1; else a witness edge.
 
-    Exhaustive over C(n, a) subsets, read from exact integer anchor rows.
+    Reads all C(n, a) edges from anchor rows at a >= 3; none at a=2, as no point repeats.
     """
+    if a == 2:
+        return True, None
     for edge, raw in Coloring(a, pset).raw_items():
         if raw == 0:
             return False, edge
@@ -245,10 +247,10 @@ def _run(pset, req):
             ]
             extra["child_stats"] = child.stats
             return _result(pset, req, mapped, child.certificate, t, m_obs, trace, extra)
-        if a == pset.dimension + 1 and a >= 3:
+        if a == pset.dimension + 1 and a >= 3 and req.variant == "h":
             pos, neg = _split_by_hyperplane(pset, witness.tuple_ids, witness.extensions)
             larger = pos if len(pos) >= len(neg) else neg
-            if req.variant == "h" and len(larger) >= t:
+            if len(larger) >= t:
                 side = sorted(larger)
                 trace = [{"locus": "hyperplane", "ids": side}]
                 extra["side_size"] = len(side)

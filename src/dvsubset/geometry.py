@@ -60,9 +60,9 @@ class PointSet:
                 raise ValueError(
                     f"point {i} has {len(coords)} coordinates, expected {dimension}"
                 )
-            if coords in seen:
-                raise ValueError(f"duplicate point at ids {seen[coords]} and {i}")
-            seen[coords] = i
+            first = seen.setdefault(coords, i)
+            if first != i:
+                raise ValueError(f"duplicate point at ids {first} and {i}")
             points.append(Point(i, coords))
         self.points = points
         self._axis_columns = None

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: straight Fraction arithmetic, full
 enumeration, no reuse of the package's determinant or coloring machinery
-beyond consuming its public outputs.
+beyond consuming its public outputs.  `judge` alone calls the package's two
+single-simplex volume routes, Gram and Cayley-Menger, which must agree;
+neither reads the coloring's rows that `find` and `verify_subset` read.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+
+from dvsubset.geometry import squared_volume, squared_volume_cm
 
 
 def frac_coords(rows):
@@ -244,3 +248,30 @@ def fraction_affine_rank(points):
             rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
         rank += 1
     return rank
+
+
+def judge(pset, subset, a, variant, certificate):
+    """Assert that a find answer holds its certificate, edge by edge.
+
+    Every a-subset of the answer gets its squared volume from both
+    `squared_volume` (Gram) and `squared_volume_cm` (Cayley-Menger), which
+    must agree.  "rainbow": the nonzero volumes are pairwise distinct, and
+    under h_prime none is zero.  "all_zero": every volume is zero, which
+    answers variant h only.
+    """
+    ids = sorted(subset)
+    assert len(set(ids)) == len(ids) and all(0 <= i < len(pset) for i in ids), subset
+    volumes = []
+    for edge in combinations(ids, a):
+        points = [pset.coords(i) for i in edge]
+        gram, cm = squared_volume(points), squared_volume_cm(points)
+        assert gram == cm, (edge, gram, cm)
+        volumes.append(gram)
+    nonzero = [v for v in volumes if v]
+    if certificate == "rainbow":
+        assert len(set(nonzero)) == len(nonzero), "a nonzero volume repeats"
+        assert variant == "h" or len(nonzero) == len(volumes), "a degenerate edge under h_prime"
+    elif certificate == "all_zero":
+        assert variant == "h" and not nonzero, (variant, nonzero)
+    else:
+        raise AssertionError(f"unknown certificate {certificate!r}")

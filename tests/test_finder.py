@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from dvsubset.geometry import PointSet, det_laplace, load_pointset, squared_volu
 from dvsubset.rainbow import ExtractionFailure
 from dvsubset.rng import SplitMix64, derive_seed
 
-from helpers import census_verify, first_fit_growth, slow_max_distinct
+from helpers import census_verify, first_fit_growth, judge, slow_max_distinct
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -146,6 +147,17 @@ def test_general_position_check():
     assert not ok and witness == (0, 1, 2)
 
 
+def test_general_position_at_a2_reads_no_row(monkeypatch):
+    # a PointSet holds no duplicate point, so no pair is degenerate: even
+    # grid and collinear sets pass at a=2 without a row read
+    def no_read(*args):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(Coloring, "row", no_read)
+    for pset in (gen_random(2, 30, 12, seed=1), gen_grid(2, 4), gen_collinear(6, 2, seed=3)):
+        assert general_position_check(pset, 2) == (True, None)
+
+
 def test_empty_set_has_no_edges():
     empty = PointSet(2, [])
     for a in (2, 3):
@@ -176,11 +188,14 @@ def test_auto_whole_set_shortcut():
 
 
 def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
-    # a rainbow whole set answers without extraction and is verified once;
+    # a rainbow whole set answers without extraction and is verified once:
+    # goodness's scan of every edge, the one full row that names the
+    # witness, then verify_subset's scan, so the search reads 2 C(n, a) + n
+    # row values, under h_prime at a=2 too, where no pair can be degenerate;
     # where goodness is 1 but a volume repeats, the whole set is never
     # verified, so its repeated volumes are never grouped
-    verified, extracted = [], []
-    check, extract = finder.verify_subset, finder.extract_rainbow
+    verified, extracted, values = [], [], []
+    check, extract, row = finder.verify_subset, finder.extract_rainbow, Coloring.row
 
     def counted_check(pset, subset, *rest):
         verified.append(len(subset))
@@ -190,19 +205,30 @@ def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
         extracted.append(args[1])
         return extract(*args)
 
+    def counted_row(self, *args):
+        out = row(self, *args)
+        values.append(len(out))
+        return out
+
     monkeypatch.setattr(finder, "verify_subset", counted_check)
     monkeypatch.setattr(finder, "extract_rainbow", counted_extract)
+    monkeypatch.setattr(Coloring, "row", counted_row)
     mixed = load_pointset(GOLDEN / "mixed.txt")
+    n = len(mixed)
     for req in (
         FindRequest(a=3),
         FindRequest(a=3, mode="fixed_m", m=2, t_override=5),
         FindRequest(a=3, mode="locus_recursion"),
+        FindRequest(a=2),
         FindRequest(a=2, variant="h_prime"),
     ):
         verified.clear()
+        values.clear()
         res = find_subset(mixed, req)
         assert res.stats["whole_set"] and res.observed_m == 1
-        assert verified == [14] and extracted == []
+        assert verified == [n] and extracted == []
+        assert sum(values) == 2 * comb(n, req.a) + n, req
+        judge(mixed, res.subset, req.a, req.variant, res.certificate)
     axes = load_pointset(GOLDEN / "axes.txt")
     for pset, m_obs in ((axes, 1), (gen_random(2, 30, 12, seed=1), None)):
         verified.clear()
@@ -679,8 +705,16 @@ def test_bad_edge_below_d_plus_1_falls_back(monkeypatch):
 
 def test_hyperplane_witness_under_h_prime_falls_back(monkeypatch):
     # a=d+1=3: the hyperplane side answers only variant h, so under h_prime
-    # the witness hands over to plain extraction
+    # the witness hands over to plain extraction without splitting the set
     outcomes = _spy_extractions(monkeypatch)
+    splits = []
+    split = finder._split_by_hyperplane
+
+    def spied_split(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(finder, "_split_by_hyperplane", spied_split)
     ps = gen_random(2, 12, 40, 3)
     req = FindRequest(a=3, mode="fixed_m", m=1, t_override=4, variant="h_prime", seed=3)
     res = find_subset(ps, req)
@@ -688,3 +722,4 @@ def test_hyperplane_witness_under_h_prime_falls_back(monkeypatch):
     assert res.subset == [1, 2, 3, 5, 6, 7, 10]
     assert res.stats["retries_used"] == 3
     assert "m_budget" not in res.stats
+    assert splits == []

@@ -279,6 +279,8 @@ def test_parse_errors():
         parse_pointset("2 1\n0 0 0\n")  # row width mismatch
     with pytest.raises(ValueError):
         parse_pointset("2 2\n0 0\n0 0\n")  # duplicate point
+    with pytest.raises(ValueError, match=r"^duplicate point at ids 0 and 2$"):
+        PointSet(2, [(0, 0), (1, 0), (0, 0)])
     with pytest.raises(ValueError):
         parse_pointset("2 1\n0 x\n")
 
