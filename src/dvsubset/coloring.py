@@ -14,9 +14,10 @@ the Gram determinant.  At a = d+1 there is one set, the volume is |det| / d!
 of one d x d matrix, and the raw is that |det| times M = prod(L_j).
 
 All raws of one Coloring share the denominator `den`, so they compare exactly
-as the volumes do, and 0 marks a degenerate simplex.  Nothing is stored:
-every row is computed on demand, by one exact integer formula for every a,
-and memory stays O(n) per row read.
+as the volumes do, and 0 marks a degenerate simplex.  Nothing is stored per
+edge: every row is computed on demand, in one pass over the columns (at
+a >= 3 a cached block of them, shifted by the anchor's first point), and
+memory stays O(d n).
 
 A `ColorKey` is built only where a color is output.  It is the reduced
 squared volume, or for a degenerate simplex a unique color carrying the edge
@@ -97,10 +98,12 @@ class Coloring:
     denominator `den`, and `volume_key(raw)` is a value's color.
     `color_of(edge)` is one edge's output color, read from `squared_volume`:
     an independent route kept for single-edge lookups and as the reference
-    the rows are tested against.
+    the rows are tested against.  At a >= 3 a whole-set scan reads one cached
+    block, the columns minus the anchor's first point, which lexicographic
+    anchors share; a gathered list of ids is shifted on its own.
     """
 
-    __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term")
+    __slots__ = ("a", "pset", "den", "_cols", "_csets", "_one_term", "_block")
 
     def __init__(self, a, pset):
         check_a(a, pset.dimension)
@@ -111,7 +114,15 @@ class Coloring:
         csets = list(combinations(range(pset.dimension), a - 1))
         factors = [prod(lcms[j] for j in cset) for cset in csets]
         common = lcm(*factors)
-        self._csets = [(cset, common // f) for cset, f in zip(csets, factors)]
+        # per set S and j in S: j, its cofactor's signed weight and its minor's columns
+        self._csets = [
+            [(j, (-1) ** pos * (common // f), cset[:pos] + cset[pos + 1 :]) for pos, j in enumerate(cset)]
+            for cset, f in zip(csets, factors)
+        ]
+        if a == 2:  # every axis cleared by the one lcm M: raws are squared distances
+            self._cols = [[x * (common // f) for x in col] if f != common else col
+                          for col, f in zip(self._cols, factors)]
+        self._block = None, None
         self.den = factorial(a - 1) ** 2 * common**2
 
     def __len__(self):
@@ -121,39 +132,50 @@ class Coloring:
         """raw(anchor + (v,)) for v in ids (default 0..n-1), in the order of
         ids, and 0 at the anchor's own ids.
 
-        Cauchy-Binet, with U the anchor's differences from p0 = anchor[0]: the
-        sum over (a-1)-sets S of coordinates of (c_S . (v - p0))^2, c_S the
-        last-row cofactors of [U_S; .] times S's weight.  At a=2, S is one
-        coordinate and c_S its weight.  At a = d+1 S is every coordinate, of
-        weight 1, and the one term is |c_S . (v - p0)|.
+        At a=2 the raw is the squared distance to the anchor on the columns
+        cleared by M (the distance at d=1).  Else Cauchy-Binet, with U the
+        anchor's differences from p0 = anchor[0]: the sum over (a-1)-sets S of
+        coordinates of (c_S . (v - p0))^2, c_S the last-row cofactors of
+        [U_S; .] times S's weight, read from the shifted columns.  At a = d+1 S is every
+        coordinate, of weight 1, and the one term is |c_S . (v - p0)|.
         """
         cols = self._cols
-        p0 = [col[anchor[0]] for col in cols]
-        diffs = [[col[i] - x for col, x in zip(cols, p0)] for i in anchor[1:]]
-        if ids is not None:
+        p = [col[anchor[0]] for col in cols]
+        sliced = isinstance(ids, range) and ids.step == 1
+        if self.a > 2 and (ids is None or sliced):  # a whole-set scan: read the block
+            if self._block[0] != anchor[0]:
+                self._block = anchor[0], [[x - q for x in col] for col, q in zip(cols, p)]
+            cols, p = self._block[1], repeat(0)
+        diffs = [[col[i] - q for col, q in zip(cols, p)] for i in anchor[1:]]
+        if sliced:
+            cols = [col[ids.start : ids.stop] for col in cols]
+        elif self.a == 2 and ids is not None:
             cols = [[col[v] for v in ids] for col in cols]
-        out = [0] * len(cols[0])
-        for cset, weight in self._csets:
-            terms = []
-            shift = 0  # c_S . p0
-            for pos, j in enumerate(cset):
-                minor = det_bareiss([[u[i] for i in cset if i != j] for u in diffs])
-                if minor:
-                    c = (-minor if pos % 2 else minor) * weight
-                    terms.append((c, cols[j]))
-                    shift += c * p0[j]
-            if len(terms) == 1 and terms[0][0] in (1, -1) and not self._one_term:
-                z = shift * terms[0][0]  # (v_j - p0_j)^2, as at a=2 of weight 1
-                out = [o + (y := x - z) * y for o, x in zip(out, terms[0][1])]
-            elif terms:  # none when U_S is singular
-                *head, (c, col) = terms
-                acc = repeat(-shift)
-                for c0, col0 in head:
-                    acc = [s + c0 * x for s, x in zip(acc, col0)]
-                if self._one_term:  # the one form of a = d+1
-                    out = [abs(s + c * x) for s, x in zip(acc, col)]
-                else:
-                    out = [o + (y := s + c * x) * y for o, s, x in zip(out, acc, col)]
+        elif ids is not None:  # gathered ids: shift just those, and leave the block alone
+            cols = [[col[v] - q for v in ids] for col, q in zip(cols, p)]
+        if self.a == 2:  # squared distances, the first two axes in one pass
+            if len(cols) == 1:  # a = d+1: the one term |x - p|
+                return [abs(x - p[0]) for x in cols[0]]
+            (xs, px), (ys, py), *more = zip(cols, p)
+            out = [(u := x - px) * u + (w := y - py) * w for x, y in zip(xs, ys)]
+            for col, q in more:
+                out = [o + (y := x - q) * y for o, x in zip(out, col)]
+            return out
+        out = repeat(0)
+        for cset in self._csets:
+            (c0, xs), (c1, ys), *tail = [  # a 1 x 1 minor is its entry
+                (w * (diffs[0][others[0]] if len(diffs) == 1
+                      else det_bareiss([[u[i] for i in others] for u in diffs])), cols[j])
+                for j, w, others in cset
+            ]
+            if self._one_term and not tail:  # a = d+1 = 3
+                return [abs(c0 * x + c1 * y) for x, y in zip(xs, ys)]
+            form = [c0 * x + c1 * y for x, y in zip(xs, ys)]
+            for c, col in tail:
+                form = [s + c * x for s, x in zip(form, col)]
+            if self._one_term:
+                return list(map(abs, form))
+            out = [o + s * s for o, s in zip(out, form)]
         return out
 
     def _runs(self, ids):
@@ -161,11 +183,11 @@ class Coloring:
 
         Combinations order runs the last position fastest, so the edges that
         share their first a-1 positions come in one run: the anchor, extended
-        by each id after the anchor's last position.
+        by each id after the anchor's last position; ids None reads a range.
         """
-        ids = list(range(len(self.pset)) if ids is None else ids)
+        ids = range(len(self.pset)) if ids is None else list(ids)
         for pos in combinations(range(len(ids) - 1), self.a - 1):
-            yield tuple(ids[p] for p in pos), ids[pos[-1] + 1 :]
+            yield (pos if isinstance(ids, range) else tuple(map(ids.__getitem__, pos))), ids[pos[-1] + 1 :]
 
     def raw_items(self, ids=None):
         """(edge, raw) for every edge inside ids (default all), in combinations
@@ -206,13 +228,14 @@ def distinct_raws(seen, raws, no_zeros):
     """The zero count of raws when its nonzero values repeat neither each
     other nor a value in `seen`, which then gains them; else None, as at any
     zero under no_zeros.  A repeat shows as `seen` growing by too little."""
-    nonzero = list(filter(None, raws))
-    zeros = len(raws) - len(nonzero)
+    zeros = raws.count(0)
     if zeros and no_zeros:
         return None
     size = len(seen)
-    seen.update(nonzero)
-    return zeros if len(seen) - size == len(nonzero) else None
+    seen.update(raws)
+    grown = len(seen) - size - (0 in seen)  # seen holds no 0 between calls
+    seen.discard(0)
+    return zeros if grown == len(raws) - zeros else None
 
 
 def distinct_zeros(coloring, ids=None, no_zeros=False, seen=None):

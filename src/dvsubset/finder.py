@@ -123,7 +123,7 @@ def verify_subset(pset, subset, a, variant="h"):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     coloring = Coloring(a, pset)
-    zero_edges = distinct_zeros(coloring, ids, variant == "h_prime")
+    zero_edges = distinct_zeros(coloring, None if len(ids) == len(pset) else ids, variant == "h_prime")
     if zero_edges is not None:
         return VerifyReport(True, [], zero_edges)
     zero_edges, groups = repeated(coloring, ids)
@@ -134,7 +134,8 @@ def verify_subset(pset, subset, a, variant="h"):
 def general_position_check(pset, a):
     """(True, None) iff every a-subset spans affine rank a-1; else a witness edge.
 
-    Reads all C(n, a) edges from anchor rows at a >= 3; none at a=2, as no point repeats.
+    Reads all C(n, a) edges from anchor rows at a >= 3, the witness the first
+    zero edge in combinations order; none at a=2, as no point repeats.
     """
     if a == 2:
         return True, None
@@ -328,10 +329,16 @@ def brute_force_max(pset, a, variant="h", max_points=None):
     if n > limit:
         raise ValueError(f"exhaustive search capped at {limit} points for a={a}")
     dets = dict(Coloring(a, pset).raw_items())
+    no_zeros = variant == "h_prime"
     for size in range(n, -1, -1):
         for combo in combinations(range(n), size):
-            raws = [dets[e] for e in combinations(combo, a)]
-            if distinct_raws(set(), raws, variant == "h_prime") is not None:
+            seen = {0} if no_zeros else set()  # distinct_raws' rule, edge by edge
+            for raw in map(dets.__getitem__, combinations(combo, a)):
+                if raw in seen:  # a repeated nonzero raw, or 0 under h_prime
+                    break
+                if raw:
+                    seen.add(raw)
+            else:
                 return list(combo)
 
 

@@ -93,16 +93,17 @@ def _plus_noise(rows, n_noise, seed, coord_bound, keep=lambda p: True):
     point or fail `keep` are re-drawn."""
     den = coord_bound**2
     rng = SplitMix64(seed)
-    seen = set(rows)
+    key = Fraction.as_integer_ratio  # integer (num, den) pairs hash cheaply
+    seen = {tuple(map(key, p)) for p in rows}
     total = len(rows) + n_noise
     while len(rows) < total:
         tup = (
             Fraction(rng.below(coord_bound + 1), den),
             Fraction(rng.below(coord_bound + 1), den),
         )
-        if not keep(tup) or tup in seen:
+        if not keep(tup) or (tup_key := tuple(map(key, tup))) in seen:
             continue
-        seen.add(tup)
+        seen.add(tup_key)
         rows.append(tup)
     return PointSet(2, rows)
 

@@ -53,14 +53,14 @@ class PointSet:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         points = []
-        seen = {}
+        seen = {}  # on integer (num, den) keys, which hash without a modular inverse
         for i, row in enumerate(rows):
-            coords = tuple(Fraction(c) for c in row)
+            coords = tuple([Fraction(c) for c in row])
             if len(coords) != dimension:
                 raise ValueError(
                     f"point {i} has {len(coords)} coordinates, expected {dimension}"
                 )
-            first = seen.setdefault(coords, i)
+            first = seen.setdefault(tuple(map(Fraction.as_integer_ratio, coords)), i)
             if first != i:
                 raise ValueError(f"duplicate point at ids {first} and {i}")
             points.append(Point(i, coords))

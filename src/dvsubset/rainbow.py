@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial
 
@@ -110,23 +111,31 @@ def sample_conflicts(coloring, t, seed):
 def _delete_conflicts(sample, pairs):
     """Greedy max-coverage deletion: kill every pair, fewest vertices first.
 
-    A vertex covers a pair if it lies in either edge; ties break to the
-    smallest id so the result is deterministic.
+    A vertex covers a pair if it lies in either edge, and the vertex covering
+    the most live pairs goes first; ties break to the smallest id so the
+    result is deterministic.  Counts drop as pairs die, and a lazy max-heap
+    on (count, -id) skips the entries whose count has dropped since.
     """
+    covers = [set(e1) | set(e2) for e1, e2, _ in pairs]
+    pairs_of = {}
+    for k, verts in enumerate(covers):
+        for v in verts:
+            pairs_of.setdefault(v, []).append(k)
+    count = {v: len(ks) for v, ks in pairs_of.items()}
+    heap = [(-c, v) for v, c in count.items()]
+    heapify(heap)
     alive = set(sample)
-    remaining = list(pairs)
-    while remaining:
-        cover = {}
-        for e1, e2, _ in remaining:
-            for v in set(e1) | set(e2):
-                cover[v] = cover.get(v, 0) + 1
-        victim = max(cover, key=lambda v: (cover[v], -v))
+    while heap:
+        c, victim = heappop(heap)
+        if -c != count[victim]:
+            continue
         alive.discard(victim)
-        remaining = [
-            (e1, e2, s)
-            for e1, e2, s in remaining
-            if victim not in e1 and victim not in e2
-        ]
+        for k in pairs_of[victim]:
+            for v in covers[k]:
+                count[v] -= 1
+                if count[v]:
+                    heappush(heap, (-count[v], v))
+            covers[k] = ()  # the pair is dead
     return sorted(alive)
 
 

@@ -275,3 +275,27 @@ def judge(pset, subset, a, variant, certificate):
         assert variant == "h" and not nonzero, (variant, nonzero)
     else:
         raise AssertionError(f"unknown certificate {certificate!r}")
+
+
+def reference_delete_conflicts(sample, pairs):
+    """Greedy max-coverage deletion, recounting cover over every remaining
+    pair after each victim: the quadratic reference for `_delete_conflicts`.
+
+    A vertex covers a pair if it lies in either edge; ties break to the
+    smallest id.
+    """
+    alive = set(sample)
+    remaining = list(pairs)
+    while remaining:
+        cover = {}
+        for e1, e2, _ in remaining:
+            for v in set(e1) | set(e2):
+                cover[v] = cover.get(v, 0) + 1
+        victim = max(cover, key=lambda v: (cover[v], -v))
+        alive.discard(victim)
+        remaining = [
+            (e1, e2, s)
+            for e1, e2, s in remaining
+            if victim not in e1 and victim not in e2
+        ]
+    return sorted(alive)

@@ -1,11 +1,15 @@
 import io
 import tracemalloc
 from collections import Counter
+from functools import cache
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvsubset.coloring import (
     ColorKey,
@@ -338,6 +342,57 @@ def test_rows_match_edge_values():
     col = coloring_of(point_sets[0], 3)
     raw = next(r for r in col.row((0, 1)) if r and isqrt(r) ** 2 != r)
     assert extensions_of_color(col, (0, 1), ColorKey.from_volume(F(raw, col.den))) == []
+
+
+mixed_frac = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_property_rows_match_squared_volume_for_every_ids_kind(data):
+    # row() reads a block shifted by the anchor's first point, a slice for a
+    # range of ids, or a gather: every kind of ids gives the raws that
+    # squared_volume gives, and anchors whose first points alternate on one
+    # Coloring catch a block left over from the previous anchor
+    d = data.draw(st.integers(1, 4), "d")
+    a = data.draw(st.integers(2, d + 1), "a")
+    n = data.draw(st.integers(a + 1, 7), "n")
+    point = st.tuples(*[mixed_frac] * d)
+    rows = data.draw(st.lists(point, min_size=n, max_size=n, unique=True), "rows")
+    col = coloring_of(rows, a)
+
+    @cache
+    def raw(edge):
+        scaled = squared_volume([rows[i] for i in edge]) * col.den
+        assert scaled.denominator == 1
+        if a == d + 1:
+            assert isqrt(scaled.numerator) ** 2 == scaled.numerator
+            return isqrt(scaled.numerator)
+        return scaled.numerator
+
+    anchors = data.draw(st.permutations(list(combinations(range(n), a - 1))), "anchors")
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), "subset")
+    start = data.draw(st.integers(0, n), "start")
+    for anchor in anchors:
+        for ids in (None, range(n), range(start, n), list(range(n)), tuple(subset), subset):
+            read = range(n) if ids is None else ids
+            want = [0 if v in anchor else raw(tuple(sorted(anchor + (v,)))) for v in read]
+            assert col.row(anchor, ids) == want, (anchor, ids)
+
+
+def test_gathered_rows_build_no_block():
+    # a row over a few gathered ids shifts just those ids; only a whole-set
+    # scan pays for the n-wide block shifted by the anchor's first point, so
+    # gathered rows whose first points change allocate next to nothing
+    col = coloring_of([(k, k * k % 1009) for k in range(2000)], 3)
+    tracemalloc.start()
+    try:
+        for anchor in ((5, 9), (6, 9), (7, 9)):
+            col.row(anchor, [3, 9, 12])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000, peak
 
 
 def test_goodness_memory_stays_per_row():

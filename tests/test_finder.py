@@ -147,6 +147,30 @@ def test_general_position_check():
     assert not ok and witness == (0, 1, 2)
 
 
+def test_general_position_witness_is_the_first_zero_edge():
+    # the witness is the first degenerate edge in combinations order, here
+    # at the front, behind noise, scattered, and absent
+    line = gen_collinear(5, 3, seed=2)
+    cases = [
+        (line, 3),
+        (PointSet(2, [p.coords for p in line][::-1]), 3),
+        (gen_grid(2, 4), 3),
+        (gen_random(2, 12, 6, seed=3), 3),
+        (gen_random(2, 8, 10**6, seed=3), 3),
+        (gen_grid(3, 3), 4),
+        (PointSet(3, [(1, 0, 0), (0, F(1, 2), 1), (2, 1, 3)] + [(k, 2 * k, F(k, 3)) for k in range(4)]), 4),
+        (gen_random(3, 9, 4, seed=4), 4),
+        (gen_random(3, 9, 10**6, seed=4), 4),
+    ]
+    witnesses = []
+    for pset, a in cases:
+        edges = combinations(range(len(pset)), a)
+        first = next((e for e in edges if squared_volume([pset.coords(i) for i in e]) == 0), None)
+        assert general_position_check(pset, a) == (first is None, first)
+        witnesses.append(first)
+    assert witnesses.count(None) == 2 and len(set(witnesses)) == 7
+
+
 def test_general_position_at_a2_reads_no_row(monkeypatch):
     # a PointSet holds no duplicate point, so no pair is degenerate: even
     # grid and collinear sets pass at a=2 without a row read

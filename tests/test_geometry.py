@@ -281,6 +281,13 @@ def test_parse_errors():
         parse_pointset("2 2\n0 0\n0 0\n")  # duplicate point
     with pytest.raises(ValueError, match=r"^duplicate point at ids 0 and 2$"):
         PointSet(2, [(0, 0), (1, 0), (0, 0)])
+    # duplicates are found on reduced (num, den) keys, whatever the spelling
+    with pytest.raises(ValueError, match=r"^duplicate point at ids 0 and 1$"):
+        PointSet(1, [(F(1, 2),), ("2/4",)])
+    with pytest.raises(ValueError, match=r"^duplicate point at ids 0 and 1$"):
+        PointSet(1, [(1,), (F(1),)])
+    with pytest.raises(ValueError, match=r"^duplicate point at ids 1 and 2$"):
+        PointSet(2, [(0, 0), (1, F(1, 3)), (F(1), "1/3")])
     with pytest.raises(ValueError):
         parse_pointset("2 1\n0 x\n")
 

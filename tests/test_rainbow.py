@@ -10,6 +10,8 @@ from dvsubset.rainbow import (
     BadEdgeWitness,
     ExtractionFailure,
     RainbowResult,
+    _conflicts_within,
+    _delete_conflicts,
     as_upper,
     expected_conflict_bound,
     extract_rainbow,
@@ -18,7 +20,13 @@ from dvsubset.rainbow import (
 )
 from dvsubset.rng import SplitMix64
 
-from helpers import frac_coords, global_same_color_pairs, pair_distance_census, reference_bad_edge
+from helpers import (
+    frac_coords,
+    global_same_color_pairs,
+    pair_distance_census,
+    reference_bad_edge,
+    reference_delete_conflicts,
+)
 
 F = Fraction
 
@@ -172,6 +180,30 @@ def test_extraction_deletes_conflicts_when_needed():
         if res.conflicts_in_accepted_sample > 0:
             saw_deletion = True
     assert saw_deletion
+
+
+def test_delete_conflicts_matches_the_quadratic_reference():
+    # the heap picks the same victims, in the same order, as recounting the
+    # cover of every remaining pair after each deletion: same survivors on
+    # 540 seeded samples, dense in conflicts on the grid and the small-bound sets
+    sets = [
+        gen_random(2, 40, 12, seed=5),
+        gen_cocircular_plus_noise(12, 20, seed=6, coord_bound=8),
+        gen_grid(2, 6),
+    ]
+    rng = SplitMix64(17)
+    samples = victims = 0
+    for pset in sets:
+        for a in (2, 3):
+            coloring = build_coloring(pset, a)
+            for _ in range(90):
+                ids = rng.sample(len(pset), 6 + rng.below(9 if a == 2 else 5))
+                pairs, _ = _conflicts_within(coloring, ids)
+                got = _delete_conflicts(ids, pairs)
+                assert got == reference_delete_conflicts(ids, pairs), (a, ids)
+                samples += 1
+                victims += len(ids) - len(got)
+    assert samples == 540 and victims > 1000
 
 
 def test_extraction_validation():
