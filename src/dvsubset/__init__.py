@@ -5,12 +5,15 @@ The pipeline: color every a-subset of a rational point set by its exact
 squared simplex volume (`coloring`), extract a rainbow subset by seeded
 sampling and conflict deletion (`rainbow`), or chase structured loci—spheres
 and hyperplanes—when some volume class is too popular (`finder`).  Closed
-form size bounds live in `bounds`, instance builders in `generators`.
+form size and pair-count bounds live in `bounds`, instance builders in
+`generators`.
 """
 
 from .bounds import (
     H_general_recurrence,
     H_simplex_upper,
+    as_upper,
+    expected_conflict_bound,
     g_upper,
     h_general_lower,
     h_simplex_lower,
@@ -58,8 +61,6 @@ from .rainbow import (
     ConflictStats,
     ExtractionFailure,
     RainbowResult,
-    as_upper,
-    expected_conflict_bound,
     extract_rainbow,
     find_bad_edge,
     sample_conflicts,

@@ -1,12 +1,16 @@
-"""Closed-form bounds on rainbow-forcing ground-set sizes and subset sizes.
+"""Closed-form bounds on rainbow-forcing ground-set sizes and subset sizes,
+and on the same-color pair counts of the sampling game: every formula of
+the `bounds` CLI verb.
 
-All values are exact integers; fractional exponents are handled by integer
-root extraction (binary search on big ints), never by floating point.
+All values are exact integers or Fractions; fractional exponents are
+handled by integer root extraction (binary search on big ints), never by
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 
 def int_nth_root(x, k):
@@ -82,3 +86,19 @@ def H_general_recurrence(a, d, t, j, base=1):
     if a < 2 or d < 0 or t < 1 or j < 1 or base < 1:
         raise ValueError("need a >= 2, d >= 0, t >= 1, j >= 1, base >= 1")
     return (4 * j * t ** (2 * a - 1)) ** d * base
+
+
+def expected_conflict_bound(n, k, m, t):
+    """Exact bound 4*m*t^(2k)/n on the expected same-color pair count in a sample."""
+    if n < 1 or k < 2 or m < 1 or t < 1:
+        raise ValueError("need n >= 1, k >= 2, m >= 1, t >= 1")
+    return Fraction(4 * m * t ** (2 * k), n)
+
+
+def as_upper(k, m, n, s):
+    """Bound m*n^(2k-s-1) / (2*s!*((k-s)!)^2) on same-color edge pairs sharing s vertices."""
+    if not 0 <= s <= k - 1:
+        raise ValueError(f"s must be in 0..{k - 1}")
+    if k < 2 or m < 1 or n < 1:
+        raise ValueError("need k >= 2, m >= 1, n >= 1")
+    return Fraction(m * n ** (2 * k - s - 1), 2 * factorial(s) * factorial(k - s) ** 2)

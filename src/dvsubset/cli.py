@@ -23,6 +23,8 @@ from functools import cache, partial
 from .bounds import (
     H_general_recurrence,
     H_simplex_upper,
+    as_upper,
+    expected_conflict_bound,
     g_upper,
     h_general_lower,
     h_simplex_lower,
@@ -45,7 +47,7 @@ from .generators import (
     gen_sphere2d,
 )
 from .geometry import format_pointset, load_pointset, parse_pointset
-from .rainbow import ExtractionFailure, as_upper, expected_conflict_bound
+from .rainbow import ExtractionFailure
 
 MODE_NAMES = {"auto": "auto", "locus": "locus_recursion", "fixed": "fixed_m"}
 VARIANT_NAMES = {"h": "h", "hprime": "h_prime"}
@@ -215,22 +217,9 @@ def _cmd_bench(args, out):
     if args.budget < 0:
         raise ValueError(f"budget must be >= 0, got {args.budget}")
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "instance",
-            "n",
-            "a",
-            "d",
-            "observed_m",
-            "t_target",
-            "subset_size",
-            "retries",
-            "distinct_volumes",
-            "wall_time_s",
-        ]
-    )
-    rows = BENCH_SUITES[args.suite][: args.budget]
-    for name, build in rows:
+    writer.writerow(["instance", "n", "a", "d", "observed_m", "t_target", "subset_size", "retries",
+                     "distinct_volumes", "wall_time_s"])
+    for name, build in BENCH_SUITES[args.suite][: args.budget]:
         pset = build()
         started = time.perf_counter()
         coloring = build_coloring(pset, 2)
@@ -238,18 +227,10 @@ def _cmd_bench(args, out):
         result = find_subset(pset, FindRequest(a=2, mode="auto", seed=args.seed))
         elapsed = time.perf_counter() - started
         if isinstance(result, FindResult):
-            size = len(result.subset)
-            retries = result.stats.get("retries_used", 0)
-            m_obs = result.observed_m
-            t_target = result.t_target
-        else:
-            size = 0
-            retries = result.attempts
-            m_obs = -1
-            t_target = -1
-        writer.writerow(
-            [name, len(pset), 2, pset.dimension, m_obs, t_target, size, retries, distinct, f"{elapsed:.3f}"]
-        )
+            found = [result.observed_m, result.t_target, len(result.subset), result.stats.get("retries_used", 0)]
+        else:  # an ExtractionFailure: no m or t to report, and its attempts as retries
+            found = [-1, -1, 0, result.attempts]
+        writer.writerow([name, len(pset), 2, pset.dimension, *found, distinct, f"{elapsed:.3f}"])
     return 0
 
 

@@ -11,7 +11,10 @@ lcm L_j.  By Cauchy-Binet the Gram determinant is a sum of squared (a-1) x
 determinant by prod(L_j, j in S).  An integer weight per S brings every set
 to one common factor M, the lcm of those products, so a raw is M^2 times
 the Gram determinant.  At a = d+1 there is one set, the volume is |det| / d!
-of one d x d matrix, and the raw is that |det| times M = prod(L_j).
+of one d x d matrix, and the raw is that |det| times M = prod(L_j).  The
+same form, signed, is the side of v against the hyperplane through the
+anchor, which `sides(anchor, ids)` reads: the split of the paper's
+hyperplane locus.
 
 All raws of one Coloring share the denominator `den`, so they compare exactly
 as the volumes do, and 0 marks a degenerate simplex.  Nothing is stored per
@@ -177,6 +180,24 @@ class Coloring:
                 return list(map(abs, form))
             out = [o + s * s for o, s in zip(out, form)]
         return out
+
+    def sides(self, anchor, ids):
+        """(ids above, ids below) the hyperplane through the anchor's d points
+        at a = d+1, the ids on it in neither.
+
+        Above is a positive det of the rows anchor[1:] + (v,) minus p0 =
+        anchor[0], which is (-1)^(d-1) c . (v - p0) for the cofactors c of
+        `row`'s one form, computed once.  The cleared columns scale det by
+        prod(L_j) > 0, which keeps its sign.
+        """
+        cols = self._cols
+        p = [col[anchor[0]] for col in cols]
+        diffs = [[col[i] - q for col, q in zip(cols, p)] for i in anchor[1:]]
+        (cset,) = self._csets  # one coordinate set at a = d+1, of weight 1
+        c = [(-1) ** len(diffs) * w * det_bareiss([[u[i] for i in others] for u in diffs])
+             for _, w, others in cset]
+        dets = [sum(cj * (col[v] - q) for cj, col, q in zip(c, cols, p)) for v in ids]
+        return [v for v, x in zip(ids, dets) if x > 0], [v for v, x in zip(ids, dets) if x < 0]
 
     def _runs(self, ids):
         """(anchor, rest) per run of the edges inside ids, in combinations order.

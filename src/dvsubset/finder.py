@@ -19,10 +19,11 @@ Modes:
 * locus_recursion: aim t at a class budget m (the caller's, or a per-level
   default) and watch the extraction for bad edges; a bad edge hands back a
   structured locus to recurse into. For a=2 the locus is a sphere around the
-  witness point (recurse on it, dimension drops morally by one). For a=d+1
-  the locus is a pair of parallel hyperplanes: if one side already holds t
-  points those points alone answer the h variant, since every simplex inside
-  a hyperplane is degenerate (certificate "all_zero").
+  witness point (recurse on it, dimension drops morally by one, to a depth
+  cap that a >= 3 rejects, reading none). For a=d+1 the locus is a pair of
+  parallel hyperplanes, split by the coloring's `sides`: if one side already
+  holds t points those points alone answer the h variant, since every
+  simplex inside a hyperplane is degenerate (certificate "all_zero").
 * fixed_m: locus_recursion with a required m.
 """
 
@@ -33,7 +34,7 @@ from itertools import combinations
 
 from .bounds import int_nth_root
 from .coloring import Coloring, build_coloring, distinct_raws, distinct_zeros, goodness, repeated
-from .geometry import check_a, det_bareiss, squared_volume
+from .geometry import check_a, squared_volume
 from .rainbow import BadEdgeWitness, ExtractionFailure, extract_rainbow
 from .rng import derive_seed
 
@@ -162,27 +163,6 @@ def _level_budget(n, a):
     return max(a, int_nth_root(n ** (2 * a - 2), 2 * a - 1) // 4)
 
 
-def _split_by_hyperplane(pset, anchor, candidates):
-    """Partition candidates by orientation against the anchor's hyperplane.
-
-    Points exactly on the hyperplane land on neither side.  Signs come from
-    integer determinants on the per-axis-cleared coordinates, so the split is
-    exact: clearing scales each column by a positive lcm, which keeps every
-    determinant's sign.
-    """
-    _, cols = pset.axis_columns
-    p0 = [col[anchor[0]] for col in cols]
-    base = [[col[i] - x for col, x in zip(cols, p0)] for i in anchor[1:]]
-    pos, neg = [], []
-    for v in candidates:
-        sign = det_bareiss(base + [[col[v] - x for col, x in zip(cols, p0)]])
-        if sign > 0:
-            pos.append(v)
-        elif sign < 0:
-            neg.append(v)
-    return pos, neg
-
-
 def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
     """FindResult for a subset that find_subset then verifies."""
     stats = {
@@ -249,7 +229,7 @@ def _run(pset, req):
             extra["child_stats"] = child.stats
             return _result(pset, req, mapped, child.certificate, t, m_obs, trace, extra)
         if a == pset.dimension + 1 and a >= 3 and req.variant == "h":
-            pos, neg = _split_by_hyperplane(pset, witness.tuple_ids, witness.extensions)
+            pos, neg = coloring.sides(witness.tuple_ids, witness.extensions)
             larger = pos if len(pos) >= len(neg) else neg
             if len(larger) >= t:
                 side = sorted(larger)
@@ -288,6 +268,8 @@ def find_subset(pset, req):
         raise ValueError("t_override must be >= 1")
     if req.m is not None and req.m < 1:
         raise ValueError("m must be >= 1")
+    if req.a >= 3 and req.recursion_depth_cap is not None:
+        raise ValueError("recursion_depth_cap caps the a=2 sphere recursion; a >= 3 reads none")
     if req.recursion_depth_cap is None:
         req = replace(req, recursion_depth_cap=pset.dimension)
     elif req.recursion_depth_cap < 0:

@@ -110,17 +110,24 @@ def _plus_noise(rows, n_noise, seed, coord_bound, keep=lambda p: True):
 
 def gen_cocircular_plus_noise(n_circle, n_noise, seed, coord_bound=10**6):
     """The origin, n_circle points at exact squared distance 1 from it, and
-    n_noise seeded random points."""
-    if n_circle < 1 or n_noise < 0:
-        raise ValueError("need n_circle >= 1, n_noise >= 0")
+    n_noise seeded random points; more than the grid holds is a ValueError."""
+    if n_circle < 1 or n_noise < 0 or coord_bound < 1:
+        raise ValueError("need n_circle >= 1, n_noise >= 0, coord_bound >= 1")
     rows = [(Fraction(0), Fraction(0))]
     rows.extend(circle_point(u) for u in range(n_circle))
+    # the noise grid holds the origin, and circle points only at coord_bound 1: (1, 0) and (0, 1)
+    free = (coord_bound + 1) ** 2 - 1 - (coord_bound == 1) * min(n_circle, 2)
+    if n_noise > free:
+        raise ValueError(f"only {free} grid points are free for noise, need {n_noise}")
     return _plus_noise(rows, n_noise, seed, coord_bound)
 
 
 def gen_collinear(n_line, n_noise=0, seed=0, coord_bound=10**6):
-    """n_line unit-spaced points on the x-axis plus n_noise points off it."""
-    if n_line < 2 or n_noise < 0:
-        raise ValueError("need n_line >= 2, n_noise >= 0")
+    """n_line unit-spaced points on the x-axis plus n_noise points off it;
+    more than the grid holds off the axis is a ValueError."""
+    if n_line < 2 or n_noise < 0 or coord_bound < 1:
+        raise ValueError("need n_line >= 2, n_noise >= 0, coord_bound >= 1")
+    if n_noise > (free := (coord_bound + 1) * coord_bound):  # the grid minus its row y = 0
+        raise ValueError(f"only {free} grid points lie off the line, need {n_noise}")
     rows = [(Fraction(k), Fraction(0)) for k in range(n_line)]
     return _plus_noise(rows, n_noise, seed, coord_bound, keep=lambda p: p[1] != 0)

@@ -4,7 +4,8 @@ The sampling game: draw about 2t vertices, count pairs of same-colored edges
 inside the sample, and if there are at most t of them delete one vertex per
 pair to leave a rainbow subset of size >= t.  With ground sets of size
 n >= 4*m*t^(2a-1) the expected pair count is at most 4*m*t^(2a)/n <= t, so a
-handful of retries succeeds with high probability.
+handful of retries succeeds with high probability.  The bounds themselves
+live in `bounds`; this module only plays the game.
 
 With a class budget m to watch for, each sample is first scanned for a
 "bad" edge: one whose (a-1)-tuple sits in more than m same-colored edges over
@@ -15,10 +16,8 @@ the whole ground set.  Such a witness hands the caller a large structured set
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import factorial
 
 from .coloring import ColorKey, _largest_class, distinct_zeros, repeated
 from .rng import SplitMix64, derive_seed
@@ -66,22 +65,6 @@ class ExtractionFailure:
             "per_s_counts": list(self.best_stats.per_s_counts),
             "seeds_tried": list(self.seeds_tried),
         }
-
-
-def expected_conflict_bound(n, k, m, t):
-    """Exact bound 4*m*t^(2k)/n on the expected same-color pair count in a sample."""
-    if n < 1 or k < 2 or m < 1 or t < 1:
-        raise ValueError("need n >= 1, k >= 2, m >= 1, t >= 1")
-    return Fraction(4 * m * t ** (2 * k), n)
-
-
-def as_upper(k, m, n, s):
-    """Bound m*n^(2k-s-1) / (2*s!*((k-s)!)^2) on same-color edge pairs sharing s vertices."""
-    if not 0 <= s <= k - 1:
-        raise ValueError(f"s must be in 0..{k - 1}")
-    if k < 2 or m < 1 or n < 1:
-        raise ValueError("need k >= 2, m >= 1, n >= 1")
-    return Fraction(m * n ** (2 * k - s - 1), 2 * factorial(s) * factorial(k - s) ** 2)
 
 
 def _conflicts_within(coloring, ids):

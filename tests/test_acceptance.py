@@ -14,6 +14,8 @@ from itertools import combinations
 from dvsubset.bounds import (
     H_general_recurrence,
     H_simplex_upper,
+    as_upper,
+    expected_conflict_bound,
     g_upper,
     h_general_lower,
     h_simplex_lower,
@@ -40,8 +42,6 @@ from dvsubset.geometry import (
 from dvsubset.rainbow import (
     BadEdgeWitness,
     RainbowResult,
-    as_upper,
-    expected_conflict_bound,
     extract_rainbow,
 )
 from dvsubset.rng import SplitMix64

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from dvsubset.bounds import (
     H_general_recurrence,
     H_simplex_upper,
+    as_upper,
+    expected_conflict_bound,
     g_upper,
     h_general_lower,
     h_simplex_lower,
@@ -145,9 +149,39 @@ def test_validation():
         H_simplex_upper(2, 2)  # t below d+1
     with pytest.raises(ValueError):
         h_simplex_lower(1, 10)
+    with pytest.raises(ValueError, match="n must be"):
+        h_simplex_lower(2, 0)
     with pytest.raises(ValueError):
         h_general_lower(2, 1, 10, -1)
     with pytest.raises(ValueError):
         h_general_lower(1, 1, 10, 1)
     with pytest.raises(ValueError):
         H_general_recurrence(2, -1, 3, 1)
+
+
+# ------------------------------------------------- sample-game pair bounds
+
+
+def test_expected_conflict_bound_values():
+    assert expected_conflict_bound(500, 2, 1, 5) == 5
+    assert expected_conflict_bound(1000, 2, 1, 5) == F(5, 2)
+    assert expected_conflict_bound(8192, 3, 2, 4) == 4
+
+
+def test_as_upper_values():
+    assert as_upper(2, 1, 10, 0) == 125
+    assert as_upper(2, 1, 10, 1) == 50
+    assert as_upper(3, 1, 10, 2) == 250
+
+
+def test_formula_validation():
+    with pytest.raises(ValueError):
+        expected_conflict_bound(0, 2, 1, 5)
+    with pytest.raises(ValueError):
+        expected_conflict_bound(10, 1, 1, 5)
+    with pytest.raises(ValueError):
+        as_upper(2, 1, 10, 2)  # s must stay below k
+    with pytest.raises(ValueError):
+        as_upper(2, 1, 10, -1)
+    with pytest.raises(ValueError):
+        as_upper(1, 1, 10, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from dvsubset.cli import BOUNDS, GENERATORS, build_parser, run
 from dvsubset.geometry import parse_pointset
+from dvsubset.rainbow import ConflictStats, ExtractionFailure
 
 SQUARE_TEXT = "2 4\n0 0\n1 0\n0 1\n1 1\n"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -196,6 +197,24 @@ def test_auto_mode_rejects_m_and_depth(square_file, capsys):
         assert invoke(["find", square_file, "--a", "2", "--mode", "auto", flag, "1"]) == (2, "")
         err = capsys.readouterr().err
         assert err == "dvsubset find: auto mode reads neither m nor recursion_depth_cap\n"
+
+
+def test_depth_at_a_of_3_exits_2(square_file, capsys):
+    # only the a=2 sphere recursion reads the cap
+    assert invoke(["find", square_file, "--a", "3", "--mode", "locus", "--depth", "1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "dvsubset find: recursion_depth_cap caps the a=2 sphere recursion; a >= 3 reads none\n"
+
+
+def test_gen_past_the_free_grid_points_exits_2(capsys):
+    # refused before the first draw, at the default coord bound 10**6
+    for argv in (
+        ["gen", "collinear", "--n", "2", "--noise", str(10**12 + 10**6 + 1)],
+        ["gen", "cocircular", "--n-circle", "3", "--n-noise", str(10**12 + 2 * 10**6 + 1)],
+    ):
+        assert invoke(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("dvsubset gen: only ") and "grid points" in err, err
 
 
 def test_goodness_pretty_is_same_payload(square_file):
@@ -402,6 +421,18 @@ def test_bench_grid_rows():
     distinct_col = header.index("distinct_volumes")
     assert grid3[0] == "grid-3" and grid3[distinct_col] == "5"
     assert grid4[0] == "grid-4" and grid4[distinct_col] == "9"
+
+
+def test_bench_failure_row(monkeypatch):
+    # a failed find has no m or t: -1 for both, size 0, its attempts as retries
+    failure = ExtractionFailure(7, ConflictStats([], [], []))
+    monkeypatch.setattr("dvsubset.cli.find_subset", lambda pset, req: failure)
+    code, text = invoke(["bench", "--suite", "grids-2d", "--budget", "1"])
+    assert code == 0
+    header, row = [line.split(",") for line in text.splitlines()]
+    assert header == ["instance", "n", "a", "d", "observed_m", "t_target", "subset_size", "retries",
+                      "distinct_volumes", "wall_time_s"]
+    assert row[:-1] == ["grid-3", "9", "2", "2", "-1", "-1", "0", "7", "5"]
 
 
 def test_bench_deterministic_modulo_timing():

@@ -136,6 +136,9 @@ def test_edge_count_and_lookup():
         col.color_of((0,))
     with pytest.raises(ValueError):
         col.color_of((1, 1))
+    for edge in ((0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            col.color_of(edge)
 
 
 def test_build_validation():

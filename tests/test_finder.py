@@ -14,7 +14,6 @@ from dvsubset.finder import (
     FindRequest,
     FindResult,
     GeneralPositionError,
-    _split_by_hyperplane,
     brute_force_max,
     find_subset,
     general_position_check,
@@ -484,12 +483,14 @@ def test_hyperplane_locus_all_zero():
 
 
 def test_hyperplane_split_matches_fraction_determinant():
-    # the split reads per-axis-cleared integers; the reference is the sign of
-    # a cofactor expansion on the exact rational differences
+    # Coloring.sides reads per-axis-cleared integers and the anchor's
+    # cofactors; the reference is the sign of a cofactor expansion on the
+    # exact rational differences, so a wrong sign factor fails at d = 2 or 3
     golden = Path(__file__).resolve().parent / "golden"
     sets = [load_pointset(golden / f) for f in ("axes.txt", "axes3d.txt")]
     for ps in sets + [hyperplane_instance()]:
         d = ps.dimension
+        coloring = Coloring(d + 1, ps)
         for anchor in combinations(range(len(ps)), d):
             candidates = [v for v in range(len(ps)) if v not in anchor]
             p0 = ps.coords(anchor[0])
@@ -499,7 +500,7 @@ def test_hyperplane_split_matches_fraction_determinant():
                 det = det_laplace(rows)
                 if det:
                     sides[1 if det > 0 else -1].append(v)
-            assert _split_by_hyperplane(ps, anchor, candidates) == (sides[1], sides[-1]), anchor
+            assert coloring.sides(anchor, candidates) == (sides[1], sides[-1]), anchor
 
 
 def test_hyperplane_instance_rejected_by_h_prime():
@@ -552,6 +553,18 @@ def test_request_validation():
         find_subset(SQUARE, FindRequest(a=2, m=3))
     with pytest.raises(ValueError, match="auto mode"):
         find_subset(SQUARE, FindRequest(a=2, recursion_depth_cap=1))
+    # only the a=2 sphere recursion reads the cap
+    for mode, m in (("locus_recursion", None), ("fixed_m", 2)):
+        with pytest.raises(ValueError, match="a >= 3 reads none"):
+            find_subset(SQUARE, FindRequest(a=3, mode=mode, m=m, recursion_depth_cap=1))
+
+
+def test_invalid_search_answer_is_an_internal_error(monkeypatch):
+    # the square repeats its side length, so the whole set is no answer
+    whole = rainbow.RainbowResult([0, 1, 2, 3], 0, 0)
+    monkeypatch.setattr(finder, "extract_rainbow", lambda *args, **kwargs: whole)
+    with pytest.raises(RuntimeError, match="internal error"):
+        find_subset(SQUARE, FindRequest(a=2, seed=0))
 
 
 # ------------------------------------------------------------ exhaustive oracle
@@ -601,6 +614,8 @@ def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_max(ps, 2)
     assert len(brute_force_max(ps, 2, max_points=13)) >= 2
+    with pytest.raises(ValueError, match="unknown variant"):
+        brute_force_max(SQUARE, 2, "x")
 
 
 # --------------------------------------------------------------- greedy growth
@@ -732,13 +747,13 @@ def test_hyperplane_witness_under_h_prime_falls_back(monkeypatch):
     # the witness hands over to plain extraction without splitting the set
     outcomes = _spy_extractions(monkeypatch)
     splits = []
-    split = finder._split_by_hyperplane
+    split = Coloring.sides
 
     def spied_split(*args):
         splits.append(args)
         return split(*args)
 
-    monkeypatch.setattr(finder, "_split_by_hyperplane", spied_split)
+    monkeypatch.setattr(Coloring, "sides", spied_split)
     ps = gen_random(2, 12, 40, 3)
     req = FindRequest(a=3, mode="fixed_m", m=1, t_override=4, variant="h_prime", seed=3)
     res = find_subset(ps, req)

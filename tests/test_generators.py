@@ -164,6 +164,50 @@ def test_collinear_layout():
 def test_collinear_validation():
     with pytest.raises(ValueError):
         gen_collinear(1)
+    with pytest.raises(ValueError, match="need n_line >= 2"):
+        gen_collinear(3, 2, 0, coord_bound=0)
+
+
+def test_argument_checks():
+    for args in ((0, 5, 10), (2, 0, 10), (2, 5, 0)):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            gen_random(*args, seed=0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gen_sphere2d(0)
+    for args in ((0, 2, 0), (3, -1, 0), (3, 2, 0, 0)):
+        with pytest.raises(ValueError, match="need n_circle >= 1"):
+            gen_cocircular_plus_noise(*args)
+
+
+def noise_grid(c):
+    den = c * c
+    return {(F(i, den), F(j, den)) for i in range(c + 1) for j in range(c + 1)}
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_noise_takes_every_free_grid_point_and_no_more(c):
+    # the free points are the grid minus the rows on it (collinear: minus the
+    # row y = 0); a draw of all of them re-draws until it has each one, and
+    # one more is refused before the first draw instead of drawing forever
+    for n_circle in (1, 2, 3):
+        rows = [(F(0), F(0))] + [circle_point(u) for u in range(n_circle)]
+        free = noise_grid(c) - set(rows)
+        ps = gen_cocircular_plus_noise(n_circle, len(free), seed=c, coord_bound=c)
+        assert set(coords(ps)[len(rows):]) == free
+        with pytest.raises(ValueError, match=f"only {len(free)} grid points are free for noise"):
+            gen_cocircular_plus_noise(n_circle, len(free) + 1, seed=c, coord_bound=c)
+    free = {p for p in noise_grid(c) if p[1]}
+    assert set(coords(gen_collinear(2, len(free), seed=c, coord_bound=c))[2:]) == free
+    with pytest.raises(ValueError, match=f"only {len(free)} grid points lie off the line"):
+        gen_collinear(2, len(free) + 1, seed=c, coord_bound=c)
+
+
+def test_small_grid_draws_pinned():
+    # 6 of 9 grid points are off the line and all 6 are drawn: draws on the
+    # line and repeats are re-drawn, in a fixed order
+    ps = gen_collinear(2, 6, seed=0, coord_bound=2)
+    q = F(1, 4)
+    assert coords(ps)[2:] == [(q, q), (2 * q, 2 * q), (2 * q, q), (0, 2 * q), (0, q), (q, 2 * q)]
 
 
 def test_generators_are_deterministic():

@@ -247,6 +247,8 @@ def test_volume_input_validation():
         squared_volume([(0,), (1,), (2,)])  # a=3 needs d >= 2
     with pytest.raises(ValueError):
         squared_volume_cm([(0, 0)])
+    with pytest.raises(ValueError, match="empty point list"):
+        squared_volume([])
 
 
 # ----------------------------------------------------------- text round trips

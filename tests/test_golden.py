@@ -200,3 +200,14 @@ def test_demo_stdout_matches_recording(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"demo.{demo.stem}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["random3d.oracle.a2", "random3d.oracle.a3", "mixed.verify.a3"])
+def test_oracle_and_valid_verify_answers_pass_the_judge(case):
+    # the recorded subset (the stdout test ties it to the code), recomputed
+    # edge by edge by both volume routes: a valid answer is rainbow
+    argv = CASES[case]
+    flags = dict(zip(argv[2::2], argv[3::2]))
+    answer = json.loads((GOLDEN / f"{case}.out").read_text(encoding="utf-8"))
+    pset = load_pointset(GOLDEN / argv[1])
+    judge(pset, answer["subset"], int(flags["--a"]), VARIANT_NAMES[flags.get("--variant", "h")], "rainbow")

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from dvsubset.bounds import as_upper, expected_conflict_bound
 from dvsubset.coloring import ColorKey, build_coloring, goodness
 from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
 from dvsubset.geometry import PointSet
@@ -12,8 +13,6 @@ from dvsubset.rainbow import (
     RainbowResult,
     _conflicts_within,
     _delete_conflicts,
-    as_upper,
-    expected_conflict_bound,
     extract_rainbow,
     find_bad_edge,
     sample_conflicts,
@@ -49,34 +48,6 @@ def is_rainbow(coloring, ids):
             groups.setdefault(key, 0)
             groups[key] += 1
     return all(c == 1 for c in groups.values())
-
-
-# -------------------------------------------------------------------- formulas
-
-
-def test_expected_conflict_bound_values():
-    assert expected_conflict_bound(500, 2, 1, 5) == 5
-    assert expected_conflict_bound(1000, 2, 1, 5) == F(5, 2)
-    assert expected_conflict_bound(8192, 3, 2, 4) == 4
-
-
-def test_as_upper_values():
-    assert as_upper(2, 1, 10, 0) == 125
-    assert as_upper(2, 1, 10, 1) == 50
-    assert as_upper(3, 1, 10, 2) == 250
-
-
-def test_formula_validation():
-    with pytest.raises(ValueError):
-        expected_conflict_bound(0, 2, 1, 5)
-    with pytest.raises(ValueError):
-        expected_conflict_bound(10, 1, 1, 5)
-    with pytest.raises(ValueError):
-        as_upper(2, 1, 10, 2)  # s must stay below k
-    with pytest.raises(ValueError):
-        as_upper(2, 1, 10, -1)
-    with pytest.raises(ValueError):
-        as_upper(1, 1, 10, 0)
 
 
 # ------------------------------------------------------------ sample conflicts
