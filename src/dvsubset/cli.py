@@ -196,6 +196,8 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_bounds(args, out):
+    if args.pretty and args.format != "json":
+        raise ValueError("--pretty needs --format json")
     value = _call(BOUNDS, args.formula, args)
     if args.format == "json":
         _emit_json({"formula": args.formula, "value": str(value)}, args, out)

@@ -2,13 +2,14 @@
 
 All coordinates are `fractions.Fraction` and every quantity derived from them
 is exact; no floating point is used anywhere.  The squared (a-1)-dimensional
-volume of the simplex on a points is computed two independent ways:
+volume of the simplex on a points is computed two independent ways, both on
+the points cleared once by their common denominator:
 
-* `squared_volume` takes the Gram determinant of difference vectors on
-  denominator-cleared integer coordinates, by fraction-free Bareiss
-  elimination;
-* `squared_volume_cm` evaluates the bordered distance-matrix determinant,
-  on denominator-cleared integer distances, by cofactor expansion.
+* `squared_volume` takes the Gram determinant of difference vectors by
+  `det_bareiss`, fraction-free Bareiss elimination: the one elimination
+  loop here, which also gives `affine_rank`;
+* `squared_volume_cm` evaluates the bordered distance-matrix determinant
+  by cofactor expansion, `det_laplace`.
 
 The two routes share no determinant code on purpose: each checks the other.
 """
@@ -103,36 +104,41 @@ class PointSet:
 # ---------------------------------------------------------------------------
 # determinants
 
-def det_bareiss(rows):
-    """Exact determinant of a square integer matrix, fraction-free elimination.
+def _eliminate(m, width):
+    """(rank, signed last pivot) of the integer rows m, eliminated in place.
 
-    Intermediate divisions are exact by Sylvester's identity, so everything
-    stays in the integers.
+    Fraction-free (Bareiss): a row swap finds each pivot, a column with no
+    pivot left is skipped, and each update divides exactly by the previous
+    pivot, so every entry stays a minor of the input (Sylvester's identity)
+    and the last pivot of a full-rank square matrix, times the swap sign, is
+    its determinant.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+    rank, sign, prev = 0, 1, 1
+    for col in range(width):
+        for i in range(rank, len(m)):
+            if m[i][col]:
+                break
+        else:
+            continue
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for row in m[rank + 1 :]:
+            lead = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return sign * m[-1][-1]
+        rank += 1
+    return rank, sign * prev
+
+
+def det_bareiss(rows):
+    """Exact determinant of a square integer matrix, by `_eliminate`."""
+    n = len(rows)
+    rank, pivot = _eliminate([list(r) for r in rows], n)
+    return pivot if rank == n else 0
 
 
 def det_laplace(rows):
@@ -190,12 +196,15 @@ def check_a(a, d):
 
 
 def _validated(points):
+    """(s, rows * s, a): the a points checked as a simplex and cleared by the
+    lcm s of their denominators, a positive scale that keeps them distinct."""
     pts, d = _coords_list(points)
     a = len(pts)
     check_a(a, d)
-    if len(set(pts)) != a:
+    scale, ints = _cleared(pts)
+    if len(set(ints)) != a:
         raise ValueError("points must be pairwise distinct")
-    return pts, a, d
+    return scale, ints, a
 
 
 def squared_volume(points):
@@ -205,8 +214,7 @@ def squared_volume(points):
     cleared by their common denominator s, by Bareiss elimination; the
     determinant is homogeneous of degree 2(a-1) in s.
     """
-    pts, a, _ = _validated(points)
-    scale, vecs = _cleared(pts)
+    scale, vecs, a = _validated(points)
     diffs = [tuple(x - y for x, y in zip(v, vecs[-1])) for v in vecs[:-1]]
     gram = [[sum(x * y for x, y in zip(u, v)) for v in diffs] for u in diffs]
     return Fraction(det_bareiss(gram), math.factorial(a - 1) ** 2 * scale ** (2 * (a - 1)))
@@ -221,8 +229,7 @@ def squared_volume_cm(points):
     determinant is homogeneous of degree a-1 in the distances, so one exact
     division by s^(2(a-1)) at the end undoes the clearing.
     """
-    pts, a, _ = _validated(points)
-    s, ints = _cleared(pts)
+    s, ints, a = _validated(points)
     border = [[0] + [1] * a]
     for p in ints:
         border.append([1] + [sum((x - y) * (x - y) for x, y in zip(p, q)) for q in ints])
@@ -234,32 +241,12 @@ def squared_volume_cm(points):
 
 
 def affine_rank(points):
-    """Rank of the difference vectors p_i - p_0, by fraction-free elimination.
-
-    The coordinates are cleared by their common denominator first, a
-    positive scaling that keeps the rank, and each elimination step scales a
-    row by the pivot instead of dividing, so every entry stays an integer.
-    """
+    """Rank of the difference vectors p_i - p_0, by `_eliminate` on the
+    coordinates cleared by their common denominator, a positive scaling that
+    keeps the rank."""
     pts, d = _coords_list(points)
     _, ints = _cleared(pts)
-    base = ints[0]
-    rows = [[x - b for x, b in zip(c, base)] for c in ints[1:]]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if f := rows[i][col]:
-                rows[i] = [x * lead[col] - f * y for x, y in zip(rows[i], lead)]
-        rank += 1
-    return rank
+    return _eliminate([[x - b for x, b in zip(c, ints[0])] for c in ints[1:]], d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +254,26 @@ def affine_rank(points):
 # ("p/q" or plain integers); lines starting with "#" and blank lines skipped.
 
 def parse_pointset(text):
-    header = None
+    d = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: header must be 'd n'")
-            header = (int(parts[0]), int(parts[1]))
+        if d is None:
+            try:
+                d, n = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"line {lineno}: header must be 'd n'") from None
             continue
+        if "e" in line or "E" in line:  # Fraction would build 10**exp exactly
+            raise ValueError(f"line {lineno}: bad rational (exponent notation in {line!r})")
         try:
-            rows.append([Fraction(p) for p in parts])
+            rows.append([Fraction(p) for p in line.split()])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: bad rational ({exc})") from None
-    if header is None:
+    if d is None:
         raise ValueError("empty point-set text")
-    d, n = header
     if len(rows) != n:
         raise ValueError(f"header says {n} points, found {len(rows)}")
     return PointSet(d, rows)

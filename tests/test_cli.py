@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dvsubset
 from dvsubset.cli import BOUNDS, GENERATORS, build_parser, run
 from dvsubset.geometry import parse_pointset
 from dvsubset.rainbow import ConflictStats, ExtractionFailure
@@ -381,6 +385,16 @@ def test_bounds_expected_is_exact_fraction():
     assert text == "5/2\n"
 
 
+def test_bounds_pretty_needs_json(capsys):
+    # --pretty under the default text format once printed 108 and exited 0
+    argv = ["bounds", "g", "--k", "2", "--m", "1", "--t", "3", "--pretty"]
+    assert invoke(argv) == (2, "")
+    assert capsys.readouterr().err == "dvsubset bounds: --pretty needs --format json\n"
+    code, text = invoke([*argv, "--format", "json"])
+    assert code == 0
+    assert text == '{\n  "formula": "g",\n  "value": "108"\n}\n'
+
+
 def test_bounds_missing_flags():
     code, _ = invoke(["bounds", "g", "--k", "2"])
     assert code == 2
@@ -459,6 +473,25 @@ def test_domain_errors_exit_2(square_file):
     assert code == 2
     code, _ = invoke(["color", square_file, "--a", "9"])
     assert code == 2
+
+
+def test_malformed_point_files_exit_2(tmp_path):
+    # in a subprocess with a timeout: Fraction("1e9999999") builds 10**9999999,
+    # which once kept find running past any sane limit
+    env = {**os.environ, "PYTHONPATH": str(Path(dvsubset.__file__).parent.parent)}
+    for text, err in (
+        ("2 2\n0 0\n1e9999999 0\n", "line 3: bad rational (exponent notation in '1e9999999 0')"),
+        ("2 2\n\n0 0\n1 2E3\n", "line 4: bad rational (exponent notation in '1 2E3')"),
+        ("2 x\n0 0\n", "line 1: header must be 'd n'"),
+        ("# note\n2.5 1\n0 0\n", "line 2: header must be 'd n'"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvsubset.cli", "find", str(path), "--a", "2"],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"dvsubset find: {err}\n")
 
 
 def test_missing_file_exits_2():

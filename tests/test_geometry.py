@@ -35,9 +35,15 @@ def test_det_routes_match_permutation_expansion():
     for n in range(1, 6):
         for _ in range(40):
             m = random_int_matrix(rng, n)
-            expect = det_perm_expansion(m)
-            assert det_bareiss(m) == expect
-            assert det_laplace([[F(x) for x in row] for row in m]) == expect
+            # the same matrix with a pivot-free column before pivot columns:
+            # column 0 zeroed, or column 1 a multiple of column 0
+            k = rng.below(5) - 2
+            zero_first = [[0, *r[1:]] for r in m]
+            parallel = [[r[0], k * r[0], *r[2:]] for r in m] if n >= 2 else m
+            for mat in (m, zero_first, parallel):
+                expect = det_perm_expansion(mat)
+                assert det_bareiss(mat) == expect
+                assert det_laplace([[F(x) for x in row] for row in mat]) == expect
 
 
 def test_det_zero_leading_minor():
@@ -50,9 +56,14 @@ def test_det_zero_leading_minor():
 
 
 def test_det_singular():
-    m = [[1, 2, 3], [2, 4, 6], [7, 8, 9]]
-    assert det_bareiss(m) == 0
-    assert det_laplace(m) == 0
+    for m in (
+        [[1, 2, 3], [2, 4, 6], [7, 8, 9]],
+        [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # no pivot in column 0, pivots after it
+        [[1, 2, 3], [2, 4, 5], [3, 6, 8]],  # no pivot in column 1, one in column 2
+        [[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5], [1, 2, 1, 2]],
+    ):
+        assert det_bareiss(m) == 0
+        assert det_laplace(m) == 0
 
 
 def test_det_empty_is_one():
@@ -222,6 +233,18 @@ def test_affine_rank_matches_fraction_elimination():
         assert min(a - 1, d) in ranks
         if 3 <= a <= d + 1:
             assert a - 2 in ranks  # the degenerate simplices
+    # points on axis-parallel lines and planes in 3-D: their differences
+    # have an all-zero coordinate column before or between the pivot columns
+    for fixed in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}):
+        ranks = set()
+        for a in (2, 3, 4, 5):
+            for _ in range(10):
+                pts = [tuple(F(5, 3) if j in fixed else c for j, c in enumerate(p))
+                       for p in random_points(rng, a, 3)]
+                rank = affine_rank(pts)
+                assert rank == fraction_affine_rank(pts), pts
+                ranks.add(rank)
+        assert max(ranks) == 3 - len(fixed)
 
 
 # ----------------------------------------------------------------- validation
