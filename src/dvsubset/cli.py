@@ -9,6 +9,8 @@ Output on stdout is byte-deterministic for fixed flags and seed, with one
 exception: `bench` prints its wall_time_s column on stdout.  Every other
 wall-clock timing goes to stderr.  `color` writes every edge, one CSV row
 at a time, so its memory stays O(n) however many edges there are.
+Exact values print at any size: Python's cap on int-to-decimal digits holds
+while input is parsed, and a handler lifts it to format its output.
 """
 
 from __future__ import annotations
@@ -112,17 +114,15 @@ def _cmd_gen(args, out):
 
 def _cmd_color(args, out):
     pset = _read_pointset(args.input)
+    sys.set_int_max_str_digits(0)
     write_coloring_csv(build_coloring(pset, args.a), out)
     return 0
 
 
 def _cmd_goodness(args, out):
-    pset = _read_pointset(args.input)
-    coloring = build_coloring(pset, args.a)
-    report = goodness(coloring, cap=args.cap)
-    payload = report.to_json()
-    payload["config"] = _config_echo(args, ("a", "cap"))
-    _emit_json(payload, args, out)
+    report = goodness(build_coloring(_read_pointset(args.input), args.a), cap=args.cap)
+    sys.set_int_max_str_digits(0)
+    _emit_json({**report.to_json(), "config": _config_echo(args, ("a", "cap"))}, args, out)
     return 0
 
 
@@ -168,16 +168,11 @@ def _cmd_verify(args, out):
             found = json.load(fh)
         ids = found.get("subset") if isinstance(found, dict) else None
         if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
-            print(
-                f"verify: {args.from_json} has no \"subset\" list of integer ids",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"{args.from_json} has no \"subset\" list of integer ids")
     report = verify_subset(pset, ids, args.a, VARIANT_NAMES[args.variant])
-    payload = report.to_json()
-    payload["subset"] = list(ids)
-    payload["config"] = _config_echo(args, ("a", "variant"))
-    _emit_json(payload, args, out)
+    sys.set_int_max_str_digits(0)
+    config = _config_echo(args, ("a", "variant"))
+    _emit_json({**report.to_json(), "subset": list(ids), "config": config}, args, out)
     return 0 if report.valid else 1
 
 
@@ -198,7 +193,8 @@ def _cmd_oracle(args, out):
 def _cmd_bounds(args, out):
     if args.pretty and args.format != "json":
         raise ValueError("--pretty needs --format json")
-    value = _call(BOUNDS, args.formula, args)
+    value = _call(BOUNDS, args.formula, args)  # parses --c under the digit cap
+    sys.set_int_max_str_digits(0)
     if args.format == "json":
         _emit_json({"formula": args.formula, "value": str(value)}, args, out)
     else:
@@ -355,11 +351,14 @@ def run(argv, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
+    cap = sys.get_int_max_str_digits()
     try:
         return HANDLERS[args.cmd](args, out)
     except (ValueError, OSError) as exc:
         print(f"dvsubset {args.cmd}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def main():

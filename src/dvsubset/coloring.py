@@ -75,11 +75,12 @@ class ColorKey(NamedTuple):
 
 @dataclass
 class GoodnessReport:
+    """Goodness m, with the anchor, color and extensions of a class that size."""
+
     observed_m: int
     witness_tuple: tuple
     witness_color: ColorKey
     witness_extensions: list
-    rainbow: bool = False  # no nonzero value repeats on any two edges
 
     def to_json(self):
         return {
@@ -304,8 +305,8 @@ def _largest_class(coloring, anchors, cap=None):
     best = 0
     for anchor in anchors:
         row = coloring.row(anchor)
-        if len(row) - len(set(row)) + 1 <= best:
-            continue  # no value of this row occurs more than best times
+        if len(row) - len(set(row)) + 3 - coloring.a <= best:
+            continue  # no nonzero value occurs more than best times: a-1 ids are 0
         counts = Counter(row)
         del counts[0]  # the anchor's own ids, and degenerate extensions
         size = max(counts.values(), default=0)
@@ -330,12 +331,8 @@ def goodness(coloring, cap=None):
     anchor holding a largest class and, among that anchor's largest classes,
     the one with the smallest reduced (num, den).  Zero colors are unique by
     construction, so they never contribute; a fully degenerate coloring
-    reports m=1 at its first edge.
-
-    The edges are first read once by `distinct_zeros`, which stops at the
-    first repeated value.  When none repeats the report is `rainbow`, every
-    class is a singleton, and the first anchor holding a nonzero value is
-    the witness, so the class scan stops there.
+    reports m=1 at its first edge.  One anchor row is held at a time, so
+    memory stays O(n) on every input.
 
     With `cap` the scan stops at the first anchor, in lexicographic order,
     whose largest class exceeds cap.  observed_m is then that class's exact
@@ -345,14 +342,12 @@ def goodness(coloring, cap=None):
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     a = coloring.a
-    rainbow = distinct_zeros(coloring) is not None
-    anchors = combinations(range(len(coloring.pset)), a - 1)
-    found = _largest_class(coloring, anchors, 0 if rainbow else cap)
+    found = _largest_class(coloring, combinations(range(len(coloring.pset)), a - 1), cap)
     if found is None:
         # fully degenerate coloring: every class is a singleton behind a zero color
         edge = tuple(range(a))
-        return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]], rainbow)
-    return GoodnessReport(*found, rainbow)
+        return GoodnessReport(1, edge[:-1], ColorKey.for_zero_edge(edge), [edge[-1]])
+    return GoodnessReport(*found)
 
 
 def write_coloring_csv(coloring, fh):

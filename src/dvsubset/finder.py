@@ -5,11 +5,10 @@ which all nonzero squared a-point volumes are distinct (degenerate simplices
 are allowed, even all of them). Variant "h_prime" additionally requires the
 whole input in general position and no degenerate simplex inside the answer.
 
-Every mode first measures the coloring's goodness m, which begins with one
-scan of the edges that stops at the first repeated volume: when none
-repeats, the whole set is the answer (m is then 1, since each anchor class
-holds at most one edge), and only otherwise is m measured in full and a
-subset searched for.
+Every mode first reads the edges once, by `distinct_zeros`, which stops at
+the first repeated volume.  When none repeats, the whole set is the answer,
+and its goodness m is 1, since each anchor class holds at most one edge.
+Only otherwise is m measured in full and a subset searched for.
 
 Modes:
 
@@ -179,25 +178,27 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
 def _run(pset, req):
     """One search level on pset: a FindResult, or an ExtractionFailure.
 
-    The whole set answers when goodness reports it rainbow.  Otherwise t
-    follows the class budget (the request's m, else the level default), or
-    in auto mode the observed goodness m_obs, and one extraction runs,
-    watching for bad edges only when m_obs exceeds the budget: otherwise no
-    class anywhere does.  A bad edge hands on its locus: at a=2 with depth
-    left its sphere is the next level; at a=d+1 under variant h a hyperplane
-    side of t points answers "all_zero".  When neither answers, t follows
-    m_obs (no `m_budget` in the stats) and an unwatched extraction resumes
-    after the witness's sample.
+    The whole set answers when `distinct_zeros` finds no repeated volume:
+    every class is then one edge, so goodness with cap 0 stops at the first
+    anchor holding a value, with the full scan's m = 1 and witness.
+    Otherwise t follows the class budget (the request's m, else the level
+    default), or in auto mode the observed goodness m_obs, and one
+    extraction runs, watching for bad edges only when m_obs exceeds the
+    budget: otherwise no class anywhere does.  A bad edge hands on its
+    locus: at a=2 with depth left its sphere is the next level; at a=d+1
+    under variant h a hyperplane side of t points answers "all_zero".  When
+    neither answers, t follows m_obs (no `m_budget` in the stats) and an
+    unwatched extraction resumes after the witness's sample.
     """
     a = req.a
     n = len(pset)
     depth = req.recursion_depth_cap
     coloring = build_coloring(pset, a)
-    report = goodness(coloring)
-    m_obs = report.observed_m
+    rainbow = distinct_zeros(coloring) is not None
+    m_obs = goodness(coloring, 0 if rainbow else None).observed_m
     budget = None if req.mode == "auto" else req.m or _level_budget(n, a)
     t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
-    if report.rainbow:
+    if rainbow:
         # no volume repeats; under h_prime find_subset's check ruled out zeros
         return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
     extra = {} if budget is None else {"m_budget": budget}

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -319,8 +320,7 @@ def test_verify_from_json_without_subset_exits_2(square_file, tmp_path, capsys):
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert err == f'dvsubset verify: {path} has no "subset" list of integer ids\n'
 
 
 def test_verify_malformed_subset_exits_2(square_file, capsys):
@@ -492,6 +492,57 @@ def test_malformed_point_files_exit_2(tmp_path):
             capture_output=True, text=True, timeout=5, env=env,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"dvsubset find: {err}\n")
+
+
+def test_exact_values_print_at_any_size(tmp_path):
+    # Python caps int-to-str conversion at 4300 digits by default; output
+    # prints past the cap, and input is parsed under it, so a 5000-digit
+    # coordinate is still a usage error at once
+    env = {**os.environ, "PYTHONPATH": str(Path(dvsubset.__file__).parent.parent)}
+
+    def cli(*argv, timeout=60):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvsubset.cli", *argv],
+            capture_output=True, text=True, timeout=timeout, env=env,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    x = int("7" * 2500)
+    big = tmp_path / "big.txt"
+    big.write_text(f"2 3\n0 0\n{x} 1\n1 {x}\n")
+    bounds = cli("bounds", "H-rec", "--a", "2", "--d", "2000", "--t", "10", "--j", "1")
+    goodness = cli("goodness", str(big), "--a", "2")
+    verify = cli("verify", str(big), "--a", "2", "--subset", "0,1,2")
+    color = cli("color", str(big), "--a", "2")
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert bounds == (0, f"{4000**2000}\n", "")
+        assert len(bounds[1]) == 7205 + 1
+        twin = Fraction(x) ** 2 + 1  # |p1 - p0|^2 = |p2 - p0|^2
+        color_of = {"kind": "volume", "value": f"{twin.numerator}/{twin.denominator}"}
+        assert goodness[0] == 0
+        payload = json.loads(goodness[1])
+        assert (payload["observed_m"], payload["witness_tuple"]) == (2, [0])
+        assert (payload["witness_color"], payload["witness_extensions"]) == (color_of, [1, 2])
+        assert verify[0] == 1
+        payload = json.loads(verify[1])
+        assert payload["duplicate_groups"] == [{"color": color_of, "edges": [[0, 1], [0, 2]]}]
+        assert (payload["valid"], payload["zero_edges"]) == (False, 0)
+        far = 2 * Fraction(x - 1) ** 2  # |p2 - p1|^2
+        rows = "".join(
+            f"{i},{j},volume,{v.numerator},{v.denominator}\n"
+            for i, j, v in ((0, 1, twin), (0, 2, twin), (1, 2, far))
+        )
+        assert color == (0, "id0,id1,color_kind,num,den\n" + rows, "")
+    finally:
+        sys.set_int_max_str_digits(cap)
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"2 2\n0 0\n{'7' * 5000} 1\n")
+    for verb, *more in (("goodness",), ("color",), ("verify", "--subset", "0,1")):
+        code, out, err = cli(verb, str(huge), "--a", "2", *more, timeout=5)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"dvsubset {verb}: line 3: bad rational (Exceeds the limit (4300 digits)")
 
 
 def test_missing_file_exits_2():

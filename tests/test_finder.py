@@ -9,7 +9,7 @@ import pytest
 from dvsubset import finder, rainbow
 from dvsubset.bounds import int_nth_root
 from dvsubset.cli import run
-from dvsubset.coloring import ColorKey, Coloring, build_coloring, goodness
+from dvsubset.coloring import ColorKey, Coloring, build_coloring, distinct_zeros, goodness
 from dvsubset.finder import (
     FindRequest,
     FindResult,
@@ -25,7 +25,7 @@ from dvsubset.geometry import PointSet, det_laplace, load_pointset, squared_volu
 from dvsubset.rainbow import ExtractionFailure
 from dvsubset.rng import SplitMix64, derive_seed
 
-from helpers import census_verify, first_fit_growth, judge, slow_max_distinct
+from helpers import census_verify, first_fit_growth, judge, reference_goodness, slow_max_distinct
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -259,6 +259,36 @@ def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
         assert "whole_set" not in res.stats and extracted
         assert m_obs in (None, res.observed_m)
         assert verified == [len(res.subset)] and len(pset) not in verified
+
+
+def test_whole_set_answers_exactly_when_the_scan_passes():
+    # find answers with the whole set at m = 1 exactly when distinct_zeros
+    # passes; goodness still equals the full census's, and on a set where no
+    # volume repeats cap 0 gives the uncapped report, which is what the
+    # search's whole-set answer reads
+    rng = SplitMix64(9)
+    sets = []
+    for seed in range(8):
+        pset = gen_random(2, 9, 40, seed=seed)
+        for a in (2, 3):
+            sets += [(pset.subset(rng.sample(len(pset), a + 1 + rng.below(4))), a) for _ in range(6)]
+    mixed = load_pointset(GOLDEN / "mixed.txt")
+    verdicts = []
+    for pset, a in sets + [(mixed, 2), (mixed, 3)]:
+        coloring = build_coloring(pset, a)
+        rainbow = distinct_zeros(coloring) is not None
+        for cap in (None, 1):
+            rep = goodness(coloring, cap)
+            got = (rep.observed_m, rep.witness_tuple, rep.witness_color.value, rep.witness_extensions)
+            assert got == reference_goodness([p.coords for p in pset], a, cap), (a, cap)
+            assert rep.observed_m == 1 or not rainbow
+        res = find_subset(pset, FindRequest(a=a))
+        assert (res.stats.get("whole_set", False) and res.observed_m == 1) == rainbow
+        if rainbow:
+            assert goodness(coloring, 0) == goodness(coloring)
+        verdicts.append(rainbow)
+    assert verdicts[-2:] == [True, True]
+    assert 20 <= sum(verdicts[:-2]) < len(sets)
 
 
 def test_auto_failure_propagates():
