@@ -6,9 +6,9 @@ are allowed, even all of them). Variant "h_prime" additionally requires the
 whole input in general position and no degenerate simplex inside the answer.
 
 Every mode first reads the edges once, by `distinct_zeros`, which stops at
-the first repeated volume.  When none repeats, the whole set is the answer,
-and its goodness m is 1, since each anchor class holds at most one edge.
-Only otherwise is m measured in full and a subset searched for.
+the first repeated volume, or under h_prime the first zero.  When none does,
+the whole set is the answer, of goodness 1 (an anchor class holds one edge);
+only otherwise is m measured in full and a subset searched for.
 
 Modes:
 
@@ -134,8 +134,8 @@ def verify_subset(pset, subset, a, variant="h"):
 def general_position_check(pset, a):
     """(True, None) iff every a-subset spans affine rank a-1; else a witness edge.
 
-    Reads all C(n, a) edges from anchor rows at a >= 3, the witness the first
-    zero edge in combinations order; none at a=2, as no point repeats.
+    Reads all C(n, a) edges at a >= 3 (`find`, after its h_prime scan fails),
+    the first zero edge in combinations order the witness; none at a=2.
     """
     if a == 2:
         return True, None
@@ -178,28 +178,30 @@ def _result(pset, req, subset, certificate, t, m_obs, trace, extra):
 def _run(pset, req):
     """One search level on pset: a FindResult, or an ExtractionFailure.
 
-    The whole set answers when `distinct_zeros` finds no repeated volume:
-    every class is then one edge, so goodness with cap 0 stops at the first
-    anchor holding a value, with the full scan's m = 1 and witness.
-    Otherwise t follows the class budget (the request's m, else the level
-    default), or in auto mode the observed goodness m_obs, and one
-    extraction runs, watching for bad edges only when m_obs exceeds the
-    budget: otherwise no class anywhere does.  A bad edge hands on its
-    locus: at a=2 with depth left its sphere is the next level; at a=d+1
-    under variant h a hyperplane side of t points answers "all_zero".  When
-    neither answers, t follows m_obs (no `m_budget` in the stats) and an
-    unwatched extraction resumes after the witness's sample.
+    The whole set answers when `distinct_zeros` finds no repeated volume (nor,
+    under h_prime, a zero: general position, else a witness is sought); with
+    one edge per class, goodness with cap 0 gives m = 1.  Otherwise t follows
+    the class budget (the request's m, else the level default), or in auto
+    mode the observed goodness m_obs, and one extraction runs, watching for
+    bad edges only when m_obs exceeds the budget: otherwise no class anywhere
+    does.  A bad edge hands on its locus: at a=2 with depth left its sphere is
+    the next level; at a=d+1 under variant h a hyperplane side of t points
+    answers "all_zero".  When neither answers, t follows m_obs (no `m_budget`
+    stat) and an unwatched extraction resumes after the witness's sample.
     """
     a = req.a
     n = len(pset)
     depth = req.recursion_depth_cap
     coloring = build_coloring(pset, a)
-    rainbow = distinct_zeros(coloring) is not None
+    rainbow = distinct_zeros(coloring, None, req.variant == "h_prime") is not None
+    if not rainbow and req.variant == "h_prime":
+        ok, witness = general_position_check(pset, a)
+        if not ok:
+            raise GeneralPositionError(witness)
     m_obs = goodness(coloring, 0 if rainbow else None).observed_m
     budget = None if req.mode == "auto" else req.m or _level_budget(n, a)
     t = _target_t(n, m_obs if budget is None else budget, a, req.t_override)
     if rainbow:
-        # no volume repeats; under h_prime find_subset's check ruled out zeros
         return _result(pset, req, list(range(n)), "rainbow", t, m_obs, [], {"whole_set": True})
     extra = {} if budget is None else {"m_budget": budget}
     watch = budget if budget is not None and m_obs > budget else None
@@ -252,8 +254,8 @@ def find_subset(pset, req):
 
     Returns FindResult (whose subset always passes verify_subset) or an
     ExtractionFailure with the best sample's diagnostics.  Raises
-    GeneralPositionError when variant h_prime meets a degenerate input and
-    ValueError on malformed requests.
+    GeneralPositionError when `_run`'s h_prime scan meets a degenerate input
+    and ValueError on malformed requests.
     """
     if req.mode not in MODES:
         raise ValueError(f"unknown mode {req.mode!r}")
@@ -275,11 +277,6 @@ def find_subset(pset, req):
         req = replace(req, recursion_depth_cap=pset.dimension)
     elif req.recursion_depth_cap < 0:
         raise ValueError("recursion_depth_cap must be >= 0")
-    if req.variant == "h_prime":
-        # once: a sphere child is a subset of this set, so it inherits general position
-        ok, witness = general_position_check(pset, req.a)
-        if not ok:
-            raise GeneralPositionError(witness)
     result = _run(pset, req)
     # verified once, on the input set; a recursion's answer is not checked on its child set
     if isinstance(result, FindResult) and not verify_subset(

@@ -129,7 +129,8 @@ def extract_rainbow(coloring, t, seed, max_retries=64, watch=None, first=0):
     derive_seed(seed, attempt) for max_retries attempts from `first` on,
     accepts the first whose same-color pair count is at most min(t, size-t),
     and deletes one vertex per conflicting pair.  Returns RainbowResult, or
-    ExtractionFailure carrying the best sample seen.  t <= a is trivially
+    ExtractionFailure carrying the best sample seen, whose redraws (every one
+    when 2t >= n) count but are not scanned again.  t <= a is trivially
     rainbow (no two a-edges fit), so the first t ids are returned outright.
 
     `watch` is a class budget m, or None to watch for nothing; it never
@@ -154,6 +155,8 @@ def extract_rainbow(coloring, t, seed, max_retries=64, watch=None, first=0):
         attempt_seed = derive_seed(seed, attempt)
         seeds_tried.append(attempt_seed)
         ids = SplitMix64(attempt_seed).sample(n, size)
+        if best is not None and ids == best.sample:
+            continue  # already scanned: no bad edge, too many conflicts
         if watch is not None:
             witness = find_bad_edge(coloring, ids, watch)
             if witness is not None:

@@ -212,9 +212,10 @@ def test_auto_whole_set_shortcut():
 
 def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
     # a rainbow whole set answers without extraction and is verified once:
-    # goodness's scan of every edge, the one full row that names the
-    # witness, then verify_subset's scan, so the search reads 2 C(n, a) + n
-    # row values, under h_prime at a=2 too, where no pair can be degenerate;
+    # the whole-set scan of every edge, the one full row with which goodness
+    # names the witness, then verify_subset's scan, so the search reads
+    # 2 C(n, a) + n row values, under h_prime too, whose scan of zeros as
+    # repeats also settles general position;
     # where goodness is 1 but a volume repeats, the whole set is never
     # verified, so its repeated volumes are never grouped
     verified, extracted, values = [], [], []
@@ -244,6 +245,7 @@ def test_whole_set_is_verified_once_and_never_grouped(monkeypatch):
         FindRequest(a=3, mode="locus_recursion"),
         FindRequest(a=2),
         FindRequest(a=2, variant="h_prime"),
+        FindRequest(a=3, variant="h_prime"),
     ):
         verified.clear()
         values.clear()
@@ -400,22 +402,41 @@ def test_sphere_recursion_answer_is_verified_once(monkeypatch):
     assert calls == [(len(pset), res.subset)]
 
 
-def test_general_position_is_checked_once_per_find(monkeypatch):
-    # a sphere child is a subset of the checked input, so only find_subset
-    # walks the input's edges for general position, not every recursion level
-    calls = []
-    check = finder.general_position_check
+def test_general_position_is_checked_only_where_the_whole_set_scan_fails(monkeypatch):
+    # under h_prime the whole-set scan reads zeros as repeats, so a scan that
+    # passes has seen every edge nonzero and settles general position; only a
+    # scan that fails looks for a witness, and at a=2 that look reads no row,
+    # so no sphere recursion level walks its edges for general position
+    calls, values = [], []
+    check, row = finder.general_position_check, Coloring.row
 
     def counted(pset, a):
         calls.append(len(pset))
         return check(pset, a)
 
+    def counted_row(self, *args):
+        out = row(self, *args)
+        values.append(len(out))
+        return out
+
     monkeypatch.setattr(finder, "general_position_check", counted)
-    pset = load_pointset(GOLDEN / "cocircular.txt")
-    req = FindRequest(a=2, mode="locus_recursion", m=3, t_override=6, seed=4, variant="h_prime")
-    res = find_subset(pset, req)
-    assert [entry["locus"] for entry in res.recursion_trace] == ["sphere"]
-    assert calls == [len(pset)]
+    monkeypatch.setattr(Coloring, "row", counted_row)
+    mixed = load_pointset(GOLDEN / "mixed.txt")
+    assert find_subset(mixed, FindRequest(a=3, variant="h_prime")).stats["whole_set"]
+    assert calls == []
+    cocircular = load_pointset(GOLDEN / "cocircular.txt")
+    res = find_subset(cocircular, FindRequest(a=3, variant="h_prime"))
+    assert "whole_set" not in res.stats
+    assert calls == [len(cocircular)]
+    # the h_prime find at a=2 reads exactly what the h find reads
+    found = []
+    for variant in ("h", "h_prime"):
+        values.clear()
+        req = FindRequest(a=2, mode="locus_recursion", m=3, t_override=6, seed=4, variant=variant)
+        res = find_subset(cocircular, req)
+        assert [entry["locus"] for entry in res.recursion_trace] == ["sphere"]
+        found.append((sum(values), res.subset, res.recursion_trace))
+    assert found[0] == found[1] and found[0][0] == 523
 
 
 def unit_circle(k):

@@ -15,7 +15,9 @@ code whose rows there still read coordinates cleared by the global lcm;
 the locus find on random at a=3 and the fixed find on random3d at a=4 from
 the code that still scanned every sample for bad edges within the budget;
 the mixed recordings from the code whose goodness still counted every
-anchor class of a set with no repeated volume.  The mixed finds all answer
+anchor class of a set with no repeated volume; the three hprime finds on
+cocircular, grid4 and axes3d from the code that still checked general
+position in a separate walk before the search.  The mixed finds all answer
 with the whole set (`whole_set` in stats); `axes.find.a2` and
 `axes3d.find.a2` guard the other branch, where goodness is 1 but the whole
 set is not rainbow.
@@ -109,7 +111,16 @@ CASES["random.find-locus.a3"] = [
 CASES["random3d.find-fixed.a4"] = [
     "find", "random3d.txt", "--a", "4", "--mode", "fixed", "--m", "1", "--t", "5",
 ]
-FAILS = {"random3d.find-fixed.a4"}
+# under hprime: a general-position set that is not rainbow, so its witness
+# search runs after the whole-set scan fails; the grid's general_position
+# error; and 9 points at t=5, where every sample is the whole set (exit 1)
+CASES["cocircular.find-hprime-fixed.a3"] = [
+    "find", "cocircular.txt", "--a", "3", "--variant", "hprime", "--mode", "fixed", "--m", "2",
+    "--t", "5",
+]
+CASES["grid4.find-hprime.a3"] = ["find", "grid4.txt", "--a", "3", "--variant", "hprime"]
+CASES["axes3d.find-hprime-t5.a3"] = ["find", "axes3d.txt", "--a", "3", "--variant", "hprime", "--t", "5"]
+FAILS = {"random3d.find-fixed.a4", "grid4.find-hprime.a3", "axes3d.find-hprime-t5.a3"}
 # verify names an invalid subset in each case (exit 1), given unsorted
 # where the edge order matters: repeated volumes at every a, and degenerate
 # edges under hprime

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from dvsubset import rainbow
 from dvsubset.bounds import as_upper, expected_conflict_bound
 from dvsubset.coloring import ColorKey, build_coloring, goodness
 from dvsubset.generators import gen_cocircular_plus_noise, gen_collinear, gen_grid, gen_random
@@ -117,6 +118,24 @@ def test_square_extraction_fails_at_t3():
     assert res.best_stats.count == 7
     assert len(res.seeds_tried) == 4
     assert res.to_json()["failure"] is True
+
+
+def test_rejected_sample_is_not_scanned_again(monkeypatch):
+    # at t=3 on 4 points every sample is the whole square: the first attempt
+    # scans it and rejects it, and the three redraws of that same sample are
+    # skipped, while the report still counts all four attempts and seeds
+    scans = []
+
+    def counted(coloring, ids):
+        scans.append(list(ids))
+        return _conflicts_within(coloring, ids)
+
+    monkeypatch.setattr(rainbow, "_conflicts_within", counted)
+    res = extract_rainbow(square_coloring(), 3, seed=0, max_retries=4)
+    assert scans == [[0, 1, 2, 3]]
+    assert isinstance(res, ExtractionFailure)
+    assert res.attempts == 4 and len(res.seeds_tried) == 4
+    assert res.best_stats.count == 7
 
 
 def test_random_extraction_succeeds():
